@@ -14,7 +14,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
-from typing import Iterable, Sequence
+from typing import Iterable
+
+import numpy as np
 
 from .codes import LinearCode, WeightReport
 from .eaqecc import AsymEaqeccParams, asym_params
@@ -75,9 +77,15 @@ class CosetStructure:
         return len(self.coset_of(x))
 
     def closure(self, labels: Iterable[int]) -> tuple[int, ...]:
-        """Union of the cosets through the given elements, sorted."""
+        """Union of the cosets through the given elements, sorted.
+
+        Labels must lie in [0, n); anything else raises ValueError rather
+        than being reduced mod n.
+        """
         out: set[int] = set()
         for a in labels:
+            if not 0 <= a < self.n:
+                raise ValueError(f"label {a} outside [0, {self.n - 1}]")
             out.update(self.coset_of(a))
         return tuple(sorted(out))
 
@@ -102,7 +110,8 @@ def reciprocal_rep(structure: CosetStructure, a: int) -> int:
     if a not in structure._coset_by_rep:
         raise ValueError(f"{a} is not a coset representative mod {structure.n}")
     rep = structure.rep_of((structure.n - a) % structure.n)
-    assert structure.size_of(rep) == structure.size_of(a)  # negation keeps orbit size
+    if structure.size_of(rep) != structure.size_of(a):
+        raise RuntimeError(f"negation changed the size of the coset of {a}")
     return rep
 
 
@@ -137,20 +146,19 @@ class EvaluationCode:
         self.n = n
         self.delta = delta
         alpha = primitive_nth_root(big_field, n)
-        points = [1]
-        for _ in range(n - 1):
-            points.append(big_field.mul(points[-1], alpha))
-        self.points = tuple(points)
-        rows = [[points[(i * a) % n] for i in range(n)] for a in delta]
-        if rows:
-            self.gen = MatrixGF.from_rows(big_field, rows)
-        else:
-            self.gen = MatrixGF.zeros(big_field, 0, n)
+        step = int(big_field._log[alpha])
+        points = big_field._exp[(np.arange(n) * step) % (big_field.order - 1)]
+        self.points = tuple(int(v) for v in points)
+        exponents = np.outer(np.array(delta, dtype=np.int64), np.arange(n)) % n
+        self.gen = MatrixGF(big_field, points[exponents].reshape(len(delta), n))
 
     @property
     def code(self) -> LinearCode:
         code = LinearCode(self.big_field, self.gen)
-        assert code.k == len(self.delta)  # Vandermonde rows are independent
+        if code.k != len(self.delta):
+            raise RuntimeError(  # Vandermonde rows are independent
+                f"evaluation code spans {code.k}, expected {len(self.delta)}"
+            )
         return code
 
 
@@ -175,21 +183,18 @@ def subfield_subcode(ev: EvaluationCode, q: int) -> LinearCode:
         raise ValueError("exponent set is not a union of cyclotomic cosets")
     small = field_create(p, r)
     emb = subfield_embedding(small, big)
-    m = big.degree // r
-    gammas = [1]
-    if m > 1:
-        x_class = p  # the class of X generates the big field over GF(q)
-        for _ in range(m - 1):
-            gammas.append(big.mul(gammas[-1], x_class))
-    rows = []
+    # gamma runs over 1, X, ..., X^(m-1): the class of X generates the big
+    # field over GF(q), and X^j has encoding p^j while j < degree.
+    gamma_logs = big._log[p ** np.arange(big.degree // r)]
     reps = structure.reps_in(ev.delta)
-    for a in reps:
-        row = ev.gen.row(ev.delta.index(a))
-        for gamma in gammas:
-            rows.append([emb.relative_trace(big.mul(gamma, int(v))) for v in row])
-    code = LinearCode.from_rows(small, rows, n=ev.n)
+    rows = ev.gen.entries[[ev.delta.index(a) for a in reps]].astype(np.int64)
+    log_v = big._log[rows][:, None, :]
+    products = np.where(log_v < 0, 0, big._exp[gamma_logs[None, :, None] + log_v])
+    entries = emb.trace_table[products].reshape(-1, ev.n)
+    code = LinearCode(small, MatrixGF(small, entries))
     expected = sum(structure.size_of(a) for a in reps)
-    assert code.k == expected, f"trace construction spans {code.k}, expected {expected}"
+    if code.k != expected:
+        raise RuntimeError(f"trace construction spans {code.k}, expected {expected}")
     return code
 
 
@@ -234,83 +239,93 @@ def bch_bound(structure: CosetStructure, t: int) -> int:
 
 # -- Hartmann-Tzeng bound ----------------------------------------------
 
-_ht_cache: dict[tuple[int, tuple[int, ...]], int] = {}
-
-
 def hartmann_tzeng_bound(n: int, defining_set: Iterable[int]) -> int:
     """Distance floor from arithmetic progressions inside the root set.
 
     Searches all patterns {b + i*a1 + j*a2 : 0 <= i <= delta-2, 0 <= j <= s}
     contained in the set, with gcd(a1, n) = 1 and gcd(a2, n) < delta, and
     returns the best delta + s.  Runs of distinct translates only, so s
-    stays below n / gcd(a2, n).  The empty set gives 1; the full set (a
-    code with only the zero word) gives n + 1.
+    stays below n / gcd(a2, n).  A pattern is credited only when the
+    translate at the end of its run of multiples of a1 has the shortest
+    run along a2 (see _best_windows), so the result can fall below the
+    best pattern; it is still a floor.  The empty set gives 1; the full
+    set (a code with only the zero word) gives n + 1.
     """
-    t_set = frozenset(x % n for x in defining_set)
-    key = (n, tuple(sorted(t_set)))
-    if key in _ht_cache:
-        return _ht_cache[key]
-    size = len(t_set)
-    if size == 0:
-        result = 1
-    elif size == n:
-        result = n + 1
-    else:
-        result = _ht_search(n, t_set)
-    _ht_cache[key] = result
-    return result
+    return _ht_bound(n, tuple(sorted({x % n for x in defining_set})))
+
+
+@lru_cache(maxsize=None)
+def _ht_bound(n: int, t_sorted: tuple[int, ...]) -> int:
+    if not t_sorted:
+        return 1
+    if len(t_sorted) == n:
+        return n + 1
+    return _ht_search(n, frozenset(t_sorted))
+
+
+# (step, position) cells handled at once by _best_windows
+_HT_BLOCK = 1 << 16
 
 
 def _ht_search(n: int, t_set: frozenset) -> int:
+    """Best delta + s over one unit per coset of the stabilizer of T.
+
+    Units v with vT = T form a group, which contains q when T is a union
+    of q-cyclotomic cosets.  For such v the unit u*v scans u*v*T = u*T,
+    the very set u scans, so one unit per coset u*Stab(T) is enough.
+    Each unit scans all steps m at once, in blocks of _HT_BLOCK cells.
+    """
     best = 2  # any root rules out weight-1 words
     units = [u for u in range(1, n) if gcd(u, n) == 1]
-    run = [0] * n
+    stabilizer = [v for v in units if all((v * x) % n in t_set for x in t_set)]
+    covered = bytearray(n)
+    rows = max(1, _HT_BLOCK // n)
     for u in units:
-        in_tu = bytearray(n)
-        for x in t_set:
-            in_tu[(u * x) % n] = 1
-        for m in range(1, n):
-            g = gcd(m, n)
-            period = n // g
-            for start in range(g):
-                cycle = [(start + i * m) % n for i in range(period)]
-                wall = next((i for i, x in enumerate(cycle) if not in_tu[x]), None)
-                if wall is None:
-                    for x in cycle:
-                        run[x] = period  # full orbit: s is capped here
-                    continue
-                run[cycle[wall]] = 0
-                acc = 0
-                for back in range(1, period):
-                    x = cycle[wall - back]
-                    acc = acc + 1 if in_tu[x] else 0
-                    run[x] = acc
-            best = max(best, _best_window(run, g))
+        if covered[u]:
+            continue
+        for v in stabilizer:
+            covered[(u * v) % n] = 1
+        member = np.zeros(n, dtype=bool)
+        member[[(u * x) % n for x in t_set]] = True
+        for first in range(1, n, rows):
+            steps = np.arange(first, min(first + rows, n))[:, None]
+            best = max(best, _best_windows(member, steps))
     return best
 
 
-def _best_window(run: Sequence[int], min_width: int) -> int:
-    """Max of (window width + min run inside) over windows of consecutive
-    positions avoiding zeros, width at least min_width.  Zeros act as
-    walls, and some wall always exists."""
-    n = len(run)
-    start = next(i for i, v in enumerate(run) if v == 0)
-    order = [(start + 1 + i) % n for i in range(n)]
-    best = 0
-    stack: list[tuple[int, int]] = []  # (run value, width of >= value to the left)
-    for pos in order:
-        value = run[pos]
-        width = 1
-        while stack and stack[-1][0] >= value:
-            v, w = stack.pop()
-            if w >= min_width and v + w > best:
-                best = v + w
-            width += w
-        if value == 0:
-            stack.clear()
-        else:
-            stack.append((value, width))
-    return best
+def _best_windows(member: np.ndarray, steps: np.ndarray) -> int:
+    """Best credited window of the set ``member`` over a column of steps m.
+
+    run[m, x] counts the members x, x+m, x+2m, ... before the first
+    non-member, or the whole orbit of x when it holds no non-member.  A
+    window of consecutive positions ending at i whose runs are all at
+    least run[m, i] is credited run[m, i] + its width, provided the width
+    reaches gcd(m, n): it holds the pattern {b + i' + j*m : i' < width,
+    j < run[m, i]}.  Only windows whose smallest run sits at their right
+    end are credited.  A non-member always exists and acts as a wall.
+    """
+    n = member.size
+    x = np.arange(n)
+    g = np.gcd(steps, n)
+    period = n // g
+    alive = np.broadcast_to(member, (len(steps), n))
+    run = alive.astype(np.int64)
+    at = x
+    for j in range(1, n):
+        at = (at + steps) % n
+        alive = alive & member[at] & (j < period)  # a full orbit is capped
+        if not alive.any():
+            break
+        run += alive
+    credited = run > 0
+    inside = credited
+    width = inside.astype(np.int64)
+    for back in range(1, n):
+        inside = inside & (run[:, x - back] >= run)
+        if not inside.any():
+            break
+        width += inside
+    return int(np.where(credited & (width >= g), run + width, 0).max())
 
 
 # -- the asymmetric EAQECC factory -------------------------------------
@@ -349,10 +364,15 @@ def bch_asym_code(
     dz_bound = bch_bound(structure, t)
     dx_bound = structure.reps[s + 1] + 1
     params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
+    k1 = sum(structure.sizes[: t + 1])
     k2 = sum(structure.sizes[: s + 1])
-    assert params.k1 == sum(structure.sizes[: t + 1])
-    assert params.k2 == k2
-    assert params.c == k2  # the pairing with reciprocal cosets is full rank
+    if (params.k1, params.k2) != (k1, k2):
+        raise RuntimeError(
+            f"dimensions ({params.k1}, {params.k2}) differ from the coset "
+            f"sizes ({k1}, {k2})"
+        )
+    if params.c != k2:  # the pairing with reciprocal cosets is full rank
+        raise RuntimeError(f"c = {params.c} differs from dim C2 = {k2}")
     return BchConstruction(
         params=params,
         c1=c1,

@@ -259,7 +259,10 @@ def _cmd_bch_construct(args) -> int:
         raise _CliError(EXIT_USAGE, str(e))
     dz_bound = hartmann_tzeng_bound(args.n, delta1)
     dx_bound = hartmann_tzeng_bound(args.n, delta2)
-    params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
+    try:
+        params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
+    except DegeneratePairError as e:
+        raise _CliError(EXIT_USAGE, str(e))
     _print_construction(args, params, delta1, delta2, dz_bound, dx_bound)
     return EXIT_OK
 

@@ -16,7 +16,8 @@ algebra elsewhere in the package.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import gcd
 
 import numpy as np
 
@@ -445,10 +446,9 @@ def primitive_nth_root(field: FiniteField, n: int) -> int:
     """Lowest-encoded element of multiplicative order exactly n."""
     if n < 1 or (field.order - 1) % n != 0:
         raise ValueError(f"no element of order {n} in {field}")
-    for v in range(1, field.order):
-        if multiplicative_order(field, v) == n:
-            return v
-    raise AssertionError("cyclic group must contain the root")  # pragma: no cover
+    # the elements of order n are g^(k(q-1)/n) with k a unit mod n
+    units = np.array([k for k in range(n) if gcd(k, n) == 1], dtype=np.int64)
+    return int(field._exp[units * ((field.order - 1) // n)].min())
 
 
 class SubfieldEmbedding:
@@ -456,7 +456,8 @@ class SubfieldEmbedding:
 
     embed() maps small-field encodings to big-field encodings; retract()
     inverts it on the image; relative_trace() sends a big-field element to
-    the small field through the trace of the extension.
+    the small field through the trace of the extension, and trace_table
+    holds that map for every big-field element at once.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -499,6 +500,33 @@ class SubfieldEmbedding:
         """Trace from the big field onto the embedded small field."""
         acc = self.big.trace(value, self.small.degree)
         return self.retract(acc)
+
+    @cached_property
+    def trace_table(self) -> np.ndarray:
+        """relative_trace of every big-field encoding, as a read-only array.
+
+        The Frobenius images v^(Q^i) are multiples of log v, and their sum
+        is taken digit by digit mod p, so no pair table is needed.
+        """
+        big, small = self.big, self.small
+        p, units = big.p, big.order - 1
+        powers = p ** np.arange(big.degree, dtype=np.int64)
+        logs = big._log[1:]
+        digits = np.zeros((units, big.degree), dtype=np.int64)
+        e = 1
+        for _ in range(big.degree // small.degree):
+            images = big._exp[(logs * e) % units]
+            digits += (images[:, None] // powers[None, :]) % p
+            e = (e * small.order) % units
+        sums = np.zeros(big.order, dtype=np.int64)
+        sums[1:] = ((digits % p) * powers[None, :]).sum(axis=1)
+        retract = np.full(big.order, -1, dtype=np.int64)
+        retract[self._embed] = np.arange(small.order)
+        table = retract[sums]
+        if (table < 0).any():
+            raise RuntimeError(f"trace from {big} left the embedded copy of {small}")
+        table.flags.writeable = False
+        return table
 
 
 @lru_cache(maxsize=None)

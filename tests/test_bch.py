@@ -1,8 +1,11 @@
 import random
+from math import gcd
 
 import pytest
 
+from aeaqecc import bch
 from aeaqecc.bch import (
+    _ht_search,
     bch_asym_code,
     bch_bound,
     closed_form_bch_params,
@@ -15,9 +18,9 @@ from aeaqecc.bch import (
     splitting_field,
     subfield_subcode,
 )
-from aeaqecc.codes import min_weight
+from aeaqecc.codes import LinearCode, min_weight
 from aeaqecc.errors import FieldMismatchError
-from aeaqecc.fields import field_create
+from aeaqecc.fields import field_create, prime_power_decomposition, subfield_embedding
 
 
 def test_cosets_binary_15():
@@ -54,6 +57,14 @@ def test_cosets_closure_and_helpers():
     assert s.is_closed((5, 10))
     assert not s.is_closed((5,))
     assert s.reps_in((5, 10, 0)) == (0, 5)
+
+
+def test_closure_rejects_out_of_range_labels():
+    s = cyclotomic_cosets(9, 2)
+    assert s.closure([8]) == (1, 2, 4, 5, 7, 8)
+    for bad in (9, 99, -1):
+        with pytest.raises(ValueError):
+            s.closure([0, bad])
 
 
 def test_cosets_validation():
@@ -165,6 +176,36 @@ def test_subfield_subcode_same_field():
     assert subfield_subcode(ev, 7) == ev.code
 
 
+def _scalar_trace_subcode(ev, q):
+    """The subfield subcode built entry by entry with scalar traces."""
+    big = ev.big_field
+    p = big.p
+    small = field_create(*prime_power_decomposition(q))
+    emb = subfield_embedding(small, big)
+    gammas = [1]
+    for _ in range(big.degree // small.degree - 1):
+        gammas.append(big.mul(gammas[-1], p))
+    s = cyclotomic_cosets(ev.n, q)
+    rows = []
+    for a in s.reps_in(ev.delta):
+        row = ev.gen.row(ev.delta.index(a))
+        for gamma in gammas:
+            rows.append([emb.relative_trace(big.mul(gamma, v)) for v in row])
+    return LinearCode.from_rows(small, rows, n=ev.n)
+
+
+def test_subfield_subcode_matches_scalar_traces():
+    rng = random.Random(5)
+    for n, q in [(15, 2), (21, 4), (26, 3), (51, 16), (48, 25), (24, 25)]:
+        s = cyclotomic_cosets(n, q)
+        big = splitting_field(n, q)
+        for _ in range(2):
+            delta = s.closure(rng.sample(range(n), rng.randint(1, 3)))
+            ev = evaluation_code(big, n, delta)
+            code = subfield_subcode(ev, q)
+            assert code == _scalar_trace_subcode(ev, q)
+
+
 def test_coset_code():
     code = coset_code(15, 4, [0, 1])
     assert code.k == 3 and code.field.order == 4
@@ -247,6 +288,130 @@ def test_hartmann_tzeng_below_true_distance():
                 continue
             exact = min_weight(coset_code(n, q, labels).dual()).value
             assert hartmann_tzeng_bound(n, delta) <= exact
+
+
+def _reference_best_window(run, min_width):
+    """Scalar window scan: each nonzero position is credited its run plus
+    the width of the stretch to its left whose runs are at least as large."""
+    n = len(run)
+    start = next(i for i, v in enumerate(run) if v == 0)
+    order = [(start + 1 + i) % n for i in range(n)]
+    best = 0
+    stack = []
+    for pos in order:
+        value = run[pos]
+        width = 1
+        while stack and stack[-1][0] >= value:
+            v, w = stack.pop()
+            if w >= min_width and v + w > best:
+                best = v + w
+            width += w
+        if value == 0:
+            stack.clear()
+        else:
+            stack.append((value, width))
+    return best
+
+
+def _reference_ht_search(n, t_set):
+    """The scalar Hartmann-Tzeng search over every unit and every step."""
+    best = 2
+    units = [u for u in range(1, n) if gcd(u, n) == 1]
+    run = [0] * n
+    for u in units:
+        in_tu = bytearray(n)
+        for x in t_set:
+            in_tu[(u * x) % n] = 1
+        for m in range(1, n):
+            g = gcd(m, n)
+            period = n // g
+            for start in range(g):
+                cycle = [(start + i * m) % n for i in range(period)]
+                wall = next((i for i, x in enumerate(cycle) if not in_tu[x]), None)
+                if wall is None:
+                    for x in cycle:
+                        run[x] = period
+                    continue
+                run[cycle[wall]] = 0
+                acc = 0
+                for back in range(1, period):
+                    x = cycle[wall - back]
+                    acc = acc + 1 if in_tu[x] else 0
+                    run[x] = acc
+            best = max(best, _reference_best_window(run, g))
+    return best
+
+
+def _stabilizer(n, t_set):
+    return {v for v in range(1, n) if gcd(v, n) == 1
+            and {(v * x) % n for x in t_set} == t_set}
+
+
+def test_ht_search_matches_unreduced_search_on_closed_sets():
+    rng = random.Random(29)
+    cases = [(15, 2), (21, 2), (31, 2), (63, 2), (15, 4), (17, 4), (26, 3),
+             (40, 3), (24, 5), (62, 5), (48, 7), (57, 7), (51, 16), (48, 25)]
+    for n, q in cases:
+        s = cyclotomic_cosets(n, q)
+        for _ in range(2):
+            labels = rng.sample(s.reps[1:], rng.randint(1, min(4, s.z)))
+            t_set = frozenset(s.closure(labels))
+            if len(t_set) == n:
+                continue
+            assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), (n, q, labels)
+
+
+def test_ht_search_matches_unreduced_search_on_open_sets():
+    # arbitrary sets whose stabilizer is {1} or {1, -1}
+    rng = random.Random(31)
+    checked = {1: 0, 2: 0}
+    while min(checked.values()) < 8:
+        n = rng.choice([7, 12, 16, 20, 25, 33, 45, 64])
+        half = rng.sample(range(n), rng.randint(1, n // 3))
+        if rng.random() < 0.5:
+            half += [(-x) % n for x in half]
+        t_set = frozenset(half)
+        stab = _stabilizer(n, t_set)
+        if stab not in ({1}, {1, n - 1}):
+            continue
+        assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), (n, t_set)
+        checked[len(stab)] += 1
+
+
+def test_ht_search_keeps_both_step_directions():
+    # A window is credited only when its smallest run sits at its right
+    # end, so the search is not symmetric under m -> n - m or u -> -u: on
+    # this coset-closed set (q = 7) only step 46 with u = 9, 13, 37 or 41
+    # reaches the best value.
+    t_set = frozenset([4, 11, 17, 19, 22, 23, 27, 28, 31, 33, 39, 46])
+    assert cyclotomic_cosets(50, 7).closure(t_set) == tuple(sorted(t_set))
+    assert _ht_search(50, t_set) == _reference_ht_search(50, t_set) == 5
+
+
+def test_ht_search_in_several_step_blocks(monkeypatch):
+    # blocks of 50 cells hold a single step for n > 25
+    monkeypatch.setattr(bch, "_HT_BLOCK", 50)
+    for n, q, labels in [(31, 2, [1, 5]), (26, 3, [1, 2, 13]), (45, 2, [1, 3, 7])]:
+        t_set = frozenset(cyclotomic_cosets(n, q).closure(labels))
+        assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), (n, q, labels)
+
+
+def test_ht_search_with_stabilizer_beyond_q():
+    # T is closed under 2 and 5 mod 63, so its stabilizer is larger than
+    # the group <2, -1> that coset closure and reflection give
+    n = 63
+    t_set = set()
+    for seed in (1, 9):
+        frontier = [seed]
+        while frontier:
+            x = frontier.pop()
+            if x not in t_set:
+                t_set.add(x)
+                frontier += [(2 * x) % n, (5 * x) % n]
+    t_set = frozenset(t_set)
+    q_and_minus_one = {(sign * pow(2, i, n)) % n for i in range(6) for sign in (1, -1)}
+    assert q_and_minus_one < _stabilizer(n, t_set)
+    assert _ht_search(n, t_set) == _reference_ht_search(n, t_set)
 
 
 def test_bch_asym_code_small_rows():

@@ -191,6 +191,21 @@ def test_bch_construct_usage_errors(capsys):
     assert code == 2
 
 
+def test_bch_construct_degenerate_pair_is_usage_error(capsys):
+    # dual(C1) lies inside C2, so dz is undefined
+    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "13",
+                         "--labels1", "1", "--labels2", "0")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "dz is undefined" in err
+
+
+def test_bch_construct_rejects_out_of_range_labels(capsys):
+    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "9",
+                         "--labels1", "1", "--labels2", "99")
+    assert code == 2 and out == ""
+    assert err == "label 99 outside [0, 8]\n"
+
+
 def test_enlarge_demo_human(capsys):
     code, out, _ = run(capsys, "enlarge-demo", "--q", "7")
     assert code == 0

@@ -222,6 +222,11 @@ def test_primitive_nth_root_invariants():
     F25 = field_create(5, 2)
     r24 = primitive_nth_root(F25, 24)
     assert multiplicative_order(F25, r24) == 24
+    for F in (F16, F25, field_create(3, 4), field_create(2, 8)):
+        for n in range(1, F.order):
+            if (F.order - 1) % n == 0:
+                of_order_n = [v for v in range(1, F.order) if multiplicative_order(F, v) == n]
+                assert primitive_nth_root(F, n) == min(of_order_n)
 
 
 def test_field_elements_check_field_identity():
@@ -290,6 +295,17 @@ def test_relative_trace_maps_onto_small_field():
             assert lhs == small.mul(s, emb.relative_trace(v))
     with pytest.raises(ValueError):
         emb.retract(2)  # alpha of GF(16) is not in the GF(4) copy
+
+
+def test_trace_table_matches_relative_trace():
+    # GF(2^12) has no pair tables, so its table cannot lean on them
+    cases = [((2, 1), (2, 12)), ((2, 2), (2, 8)), ((5, 1), (5, 3)), ((5, 2), (5, 4))]
+    for (ps, rs), (pb, rb) in cases:
+        emb = subfield_embedding(field_create(ps, rs), field_create(pb, rb))
+        table = emb.trace_table
+        assert table.shape == (emb.big.order,)
+        assert table.tolist() == [emb.relative_trace(v) for v in range(emb.big.order)]
+        assert not table.flags.writeable
 
 
 def test_embedding_rejects_non_subfield():
