@@ -24,6 +24,7 @@ from .errors import (
 from .fields import field_create, prime_power_decomposition
 from .gv import GvQuery, gv_finite_holds, gv_finite_sum, gv_threshold
 from .tables import (
+    _flag,
     diff_against_golden,
     reproduce_table1,
     reproduce_table2,
@@ -61,10 +62,6 @@ def _resolve_budget(value) -> int:
     if value < MIN_BUDGET:
         raise _CliError(EXIT_USAGE, f"budget must be at least {MIN_BUDGET}")
     return value
-
-
-def _flag(value: bool) -> str:
-    return "true" if value else "false"
 
 
 def _require_not_csv(args):

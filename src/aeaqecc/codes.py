@@ -119,10 +119,6 @@ class LinearCode:
         return f"[{self.n},{self.k}] code over GF({self.field.designator})"
 
 
-def code_from_rows(field: FiniteField, rows: Iterable[Sequence[int]], n: int | None = None) -> LinearCode:
-    return LinearCode.from_rows(field, rows, n=n)
-
-
 def dual(code: LinearCode) -> LinearCode:
     return code.dual()
 
@@ -145,7 +141,8 @@ def min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
     if code.k == 0:
         return WeightReport(value=None, exact=True, enumerated=0)
     value, visited = minimum_weight_scan(code.gen.entries, code.field, budget=budget)
-    assert value is not None
+    if value is None:
+        raise RuntimeError("a nonzero code must have a nonzero word")
     return WeightReport(value=value, exact=True, enumerated=visited)
 
 
@@ -174,7 +171,8 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
     value, visited = minimum_weight_scan(
         a.gen.entries, a.field, is_member=member, budget=budget
     )
-    assert value is not None, "non-subcode must have a word outside b"
+    if value is None:
+        raise RuntimeError("a non-subcode must have a word outside b")
     return WeightReport(value=value, exact=True, enumerated=visited)
 
 

@@ -17,7 +17,7 @@ from .codes import LinearCode, WeightReport, min_weight, relative_min_weight
 from .enumeration import DEFAULT_BUDGET
 from .errors import BudgetExceededError, DegeneratePairError, FieldMismatchError
 from .fields import FiniteField
-from .linalg import MatrixGF, mat_mul, rank, row_space_intersect, stack
+from .linalg import MatrixGF, mat_mul, rank, stack
 
 
 @dataclass(frozen=True)
@@ -79,11 +79,7 @@ def entanglement_c(c1: LinearCode, c2: LinearCode) -> int:
     codes; it vanishes exactly when C2 is orthogonal to C1.
     """
     _check_pair(c1, c2)
-    c = rank(mat_mul(c1.gen, c2.gen.transpose()))
-    # the rank of a pairing can be read off either factor
-    assert c == c1.k - row_space_intersect(c1.gen, c2.parity_check).rows
-    assert c == c2.k - row_space_intersect(c2.gen, c1.parity_check).rows
-    return c
+    return rank(mat_mul(c1.gen, c2.gen.transpose()))
 
 
 def _relative_or_floor(a: LinearCode, b: LinearCode, budget, floor, label):
@@ -97,8 +93,10 @@ def _relative_or_floor(a: LinearCode, b: LinearCode, budget, floor, label):
         raise DegeneratePairError(
             f"{label} is undefined: dual code lies inside the other code"
         )
-    if floor is not None:
-        assert report.value >= floor, f"{label} bound {floor} above exact value"
+    if floor is not None and report.value < floor:
+        raise RuntimeError(
+            f"{label} bound {floor} above exact value {report.value}"
+        )
     return report
 
 
@@ -151,7 +149,8 @@ def symplectic_c(hx: MatrixGF, hz: MatrixGF) -> int:
     neg = MatrixGF(field, field.neg_table[mat_mul(hz, hx.transpose()).entries])
     form = MatrixGF(field, field.add_table[prod.entries, neg.entries])
     r = rank(form)
-    assert r % 2 == 0, "alternating form with odd rank"
+    if r % 2:
+        raise RuntimeError(f"alternating form with odd rank {r}")
     return r // 2
 
 
@@ -179,7 +178,8 @@ def punctured_params(
         raise ValueError(f"c must lie in [1, {cap}], got {c}")
     dz = relative_min_weight(c2.dual(), c1.dual(), budget=budget)
     dx = relative_min_weight(c1, c2, budget=budget)
-    assert not dz.is_empty and not dx.is_empty  # strict nesting
+    if dz.is_empty or dx.is_empty:
+        raise RuntimeError("a strictly nested pair must leave words outside")
     return AsymEaqeccParams(
         q=c1.field.order,
         n=c1.n - c,
@@ -210,7 +210,10 @@ def enlargement_demo(
     enlarged = evaluation_code(field, n, [1, 2]).code
     before = asym_params(c1, c2, budget=budget)
     after = asym_params(enlarged, c2, budget=budget)
-    assert after.dx == before.dx, "dx must not move"
-    assert after.k == before.k and after.n == before.n, "rate must not move"
-    assert after.dz.value > before.dz.value, "dz must grow"
+    if after.dx != before.dx:
+        raise RuntimeError("dx must not move")
+    if after.k != before.k or after.n != before.n:
+        raise RuntimeError("rate must not move")
+    if after.dz.value <= before.dz.value:
+        raise RuntimeError("dz must grow")
     return before, after

@@ -4,9 +4,20 @@ The message space GF(q)^k is split in two: the low digits are expanded
 once into a table holding every codeword of the low sub-space, and the
 high digits are walked in lexicographic order.  Each step combines one
 high-part codeword against the whole low table, so nearly all work is
-vectorized.  In characteristic 2 coordinates are packed into 64-bit words
-(addition is XOR); in odd characteristic codewords are kept as per-digit
-planes reduced mod p.
+vectorized.
+
+Every field shares one layout.  An element of GF(p^r) is r digits mod p;
+each coordinate of a codeword fills a lane of r*b bits in a 64-bit word,
+digit i in bits [i*b, (i+1)*b).  In characteristic 2, b = 1 and addition
+is XOR.  In odd characteristic, b is the smallest width with
+2^(b-1) >= p, so each digit has a spare top bit: a digit sum s never
+carries into the next digit, and s - p*[s >= p] reduces it, with
+[s >= p] the top bit of s + 2^(b-1) - p.
+
+A step adds nothing: high + low is zero in a coordinate exactly where
+the lanes of high and -low are equal, so the table holds -low and a step
+is one XOR.  Blocks are word-major, shape (words, rows), and a weight is
+a sum of per-word popcounts of the nonzero-lane flags.
 
 Weights are computed for every enumerated word; a caller-supplied
 membership predicate can exclude words (checked only for words that would
@@ -27,15 +38,16 @@ from .fields import FiniteField
 DEFAULT_BUDGET = 1 << 26
 _BLOCK_TARGET = 1 << 16
 _BLOCK_BYTES = 1 << 20  # keep the low table cache-resident
-_BIG = np.int32(1 << 20)
+_BIG = np.int32(1 << 30)  # above any weight
 
 if hasattr(np, "bitwise_count"):
     _popcount = np.bitwise_count
 else:  # pragma: no cover
     _POP8 = np.array([bin(i).count("1") for i in range(256)], dtype=np.uint8)
 
-    def _popcount(a):
-        return _POP8[a.view(np.uint8)].reshape(a.shape + (8,)).sum(axis=-1)
+    def _popcount(a, out):
+        out[...] = _POP8[a.view(np.uint8)].reshape(a.shape + (8,)).sum(axis=-1)
+        return out
 
 
 def minimum_weight_scan(
@@ -67,9 +79,7 @@ def minimum_weight_scan(
         raise BudgetExceededError(total, budget)
     if k == 0 or n == 0:
         return None, max(total - 1, 0)
-    if field.p == 2:
-        return _scan_packed(gen, field, is_member, total)
-    return _scan_digit_planes(gen, field, is_member, total)
+    return _scan(gen, field, is_member, total)
 
 
 def _pick_k_lo(q: int, k: int, bytes_per_row: int) -> int:
@@ -83,119 +93,143 @@ def _pick_k_lo(q: int, k: int, bytes_per_row: int) -> int:
     return k_lo
 
 
-def _scan_packed(gen, field, is_member, total):
+def _repeat(value: int, step: int, count: int) -> np.uint64:
+    """value copied into count fields of step bits each."""
+    return np.uint64(sum(value << (step * j) for j in range(count)))
+
+
+class _Lanes:
+    """Lane layout of length-n vectors over one field (module docstring)."""
+
+    def __init__(self, field: FiniteField, n: int):
+        p, r = field.p, field.degree
+        b = 1 if p == 2 else (p - 1).bit_length() + 1
+        width = r * b
+        self.p, self.r, self.n = p, r, n
+        self.per_word = 64 // width
+        self.nwords = -(-n // self.per_word)
+        self.offsets = np.arange(0, width * self.per_word, width, dtype=np.uint64)
+        self.lane_mask = np.uint64((1 << width) - 1)
+        # lane image of every element; increasing, so unpack can search it
+        digits = (np.arange(field.order)[:, None] // p ** np.arange(r)) % p
+        shifts = np.arange(0, width, b, dtype=np.uint64)
+        self.lane = np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=1)
+        # a lane v is nonzero iff (((v & low) + low) | v) & top; odd-p lanes
+        # never set their top bit, so there v & low == v and the OR is moot
+        self.low = _repeat((1 << (width - 1)) - 1, width, self.per_word)
+        self.top = _repeat(1 << (width - 1), width, self.per_word)
+        if p != 2:
+            self.carry = _repeat((1 << (b - 1)) - p, b, r * self.per_word)
+            self.high = _repeat(1 << (b - 1), b, r * self.per_word)
+            self.b1, self.pb = np.uint64(b - 1), np.uint64(p)
+
+    def pack(self, mat: np.ndarray) -> np.ndarray:
+        """(..., n) encoded entries -> (..., nwords) packed words."""
+        lanes = np.zeros(mat.shape[:-1] + (self.nwords * self.per_word,), dtype=np.uint64)
+        lanes[..., : self.n] = self.lane[mat]
+        lanes = lanes.reshape(mat.shape[:-1] + (self.nwords, self.per_word))
+        return np.bitwise_or.reduce(lanes << self.offsets, axis=-1)
+
+    def unpack(self, words: np.ndarray) -> np.ndarray:
+        """(nwords,) packed words -> (n,) encoded entries."""
+        lanes = (words[:, None] >> self.offsets) & self.lane_mask
+        return np.searchsorted(self.lane, lanes.reshape(-1)[: self.n]).astype(np.int64)
+
+    def add(self, x, y):
+        """Lane-wise field sum x + y."""
+        if self.p == 2:
+            return x ^ y
+        s = x + y
+        return s - (((s + self.carry) & self.high) >> self.b1) * self.pb
+
+    def weights(self, diff: np.ndarray, out: np.ndarray, scratch: np.ndarray, counts: np.ndarray) -> None:
+        """Number of nonzero lanes in every column of a word-major block.
+
+        Overwrites diff; scratch is a buffer of diff's shape.
+        """
+        if self.p == 2 and self.r == 1:
+            flags = diff
+        elif self.p == 2:
+            flags = np.bitwise_and(diff, self.low, out=scratch)
+            flags += self.low
+            flags |= diff
+            flags &= self.top
+        else:
+            flags = diff
+            flags += self.low
+            flags &= self.top
+        _popcount(flags[0], out=counts)
+        out[...] = counts
+        for w in range(1, self.nwords):
+            _popcount(flags[w], out=counts)
+            out += counts
+
+
+def _span(lanes: _Lanes, rowmul: np.ndarray) -> np.ndarray:
+    """Word-major table of every combination of the rows rowmul[:, i].
+
+    Column sum_i d_i q^i holds sum_i d_i * row_i, so column 0 is the zero
+    word.
+    """
+    table = np.zeros((lanes.nwords, 1), dtype=np.uint64)
+    for i in range(rowmul.shape[1]):
+        table = lanes.add(rowmul[:, i, :, None], table[None, :, :])
+        table = np.ascontiguousarray(table.transpose(1, 0, 2)).reshape(lanes.nwords, -1)
+    return table
+
+
+def _column(lanes: _Lanes, rowmul: np.ndarray, index: int) -> np.ndarray:
+    """Column `index` of _span(lanes, rowmul), computed alone."""
+    q = rowmul.shape[0]
+    word = np.zeros(lanes.nwords, dtype=np.uint64)
+    for i in range(rowmul.shape[1]):
+        index, digit = divmod(index, q)
+        if digit:
+            word = lanes.add(word, rowmul[digit, i])
+    return word
+
+
+def _scan(gen, field, is_member, total):
     q = field.order
     k, n = gen.shape
-    r = field.degree
-    w = 1 if r == 1 else (2 if r == 2 else 4)
-    per_word = 64 // w
-    nwords = (n + per_word - 1) // per_word
-    mul = field.mul_table
+    lanes = _Lanes(field, n)
+    rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
 
-    def pack(mat):
-        out = np.zeros((mat.shape[0], nwords), dtype=np.uint64)
-        for j in range(n):
-            word, off = divmod(j, per_word)
-            out[:, word] |= mat[:, j].astype(np.uint64) << np.uint64(off * w)
-        return out
+    k_lo = _pick_k_lo(q, k, lanes.nwords * 8)
+    low_rows = rowmul[:, :k_lo]
+    neg_low = _span(lanes, low_rows[field.neg_table])
+    # high words: the next digits from a table no larger than neg_low, the
+    # remaining top digits once per pass over that table
+    k_mid = min(k - k_lo, k_lo)
+    mid = _span(lanes, rowmul[:, k_lo : k_lo + k_mid])
+    top_rows = rowmul[:, k_lo + k_mid :]
 
-    rowmul = [pack(mul[:, gen[i]].astype(np.int64)) for i in range(k)]
-    mask = pack(np.ones((1, n), dtype=np.int64))[0]
-    shifts = [np.uint64(s) for s in range(1, r)]
+    # reused per-block buffers; the loop body must stay allocation-free
+    diff = np.empty_like(neg_low)
+    scratch = np.empty_like(neg_low)
+    counts = np.empty(neg_low.shape[1], dtype=np.uint8)
+    wts = np.empty(neg_low.shape[1], dtype=np.int32)
 
-    k_lo = _pick_k_lo(q, k, nwords * 8)
-    table = np.zeros((1, nwords), dtype=np.uint64)
-    for i in range(k_lo):
-        table = (rowmul[i][:, None, :] ^ table[None, :, :]).reshape(-1, nwords)
-    n_hi = q ** (k - k_lo)
-
-    def unpack(words):
-        vec = np.empty(n, dtype=np.int64)
-        full = (1 << w) - 1
-        for j in range(n):
-            word, off = divmod(j, per_word)
-            vec[j] = (int(words[word]) >> (off * w)) & full
-        return vec
+    def word(i):  # the current block's column i, decoded
+        return lanes.unpack(lanes.add(high[:, 0], _column(lanes, low_rows, i)))
 
     best = None
-    for h in range(n_hi):
-        hi = np.zeros(nwords, dtype=np.uint64)
-        hh = h
-        for i in range(k_lo, k):
-            digit = hh % q
-            hh //= q
-            if digit:
-                hi ^= rowmul[i][digit]
-        block = table ^ hi[None, :]
-        occ = block
-        for s in shifts:
-            occ = occ | (block >> s)
-        wts = _popcount(occ & mask[None, :]).sum(axis=1, dtype=np.int32)
-        if h == 0:
-            wts[0] = _BIG  # the zero word
-        best = _fold_block(block, wts, best, is_member, unpack)
-        if best == 1:
-            break
+    for t in range(q ** top_rows.shape[1]):
+        highs = lanes.add(mid, _column(lanes, top_rows, t)[:, None])
+        for j in range(highs.shape[1]):
+            high = highs[:, j : j + 1]
+            np.bitwise_xor(neg_low, high, out=diff)
+            lanes.weights(diff, wts, scratch, counts)
+            if t == 0 and j == 0:
+                wts[0] = _BIG  # the zero word
+            best = _fold_block(wts, best, is_member, word)
+            if best == 1:
+                return best, total - 1
     return best, total - 1
 
 
-def _scan_digit_planes(gen, field, is_member, total):
-    q = field.order
-    k, n = gen.shape
-    p = field.p
-    r = field.degree
-    mul = field.mul_table
-    powers = p ** np.arange(r, dtype=np.int64)
-
-    def planes(mat):
-        return ((mat[:, None, :] // powers[None, :, None]) % p).astype(np.uint8)
-
-    rowmul = [planes(mul[:, gen[i]].astype(np.int64)) for i in range(k)]
-
-    k_lo = _pick_k_lo(q, k, r * n)
-    table = np.zeros((1, r, n), dtype=np.uint8)
-    for i in range(k_lo):
-        table = rowmul[i][:, None, :, :] + table[None, :, :, :]
-        table[table >= p] -= p
-        table = table.reshape(-1, r, n)
-    n_hi = q ** (k - k_lo)
-
-    def unpack(planes_vec):
-        return (planes_vec.astype(np.int64) * powers[:, None]).sum(axis=0)
-
-    # reused per-block buffers; the loop body must stay allocation-free.
-    # Sums stay below p so mod p is min(x, x - p) with uint8 wraparound.
-    block = np.empty_like(table)
-    wrap = np.empty_like(table)
-    occ = np.empty((table.shape[0], n), dtype=bool)
-    wts = np.empty(table.shape[0], dtype=np.int32)
-    pb = np.uint8(p)
-
-    best = None
-    for h in range(n_hi):
-        hi = np.zeros((r, n), dtype=np.uint8)
-        hh = h
-        for i in range(k_lo, k):
-            digit = hh % q
-            hh //= q
-            if digit:
-                hi += rowmul[i][digit]
-                hi[hi >= p] -= p
-        np.add(table, hi[None, :, :], out=block)
-        np.subtract(block, pb, out=wrap)
-        np.minimum(block, wrap, out=block)
-        np.any(block, axis=1, out=occ)
-        occ.sum(axis=1, dtype=np.int32, out=wts)
-        if h == 0:
-            wts[0] = _BIG
-        best = _fold_block(block, wts, best, is_member, unpack)
-        if best == 1:
-            break
-    return best, total - 1
-
-
-def _fold_block(block, wts, best, is_member, unpack):
-    """Lower `best` using one block of codewords and their weights."""
+def _fold_block(wts, best, is_member, word):
+    """Lower `best` using the weights of one block; word(i) decodes column i."""
     ceiling = _BIG if best is None else best
     bmin = int(wts.min())
     while bmin < ceiling:
@@ -203,7 +237,7 @@ def _fold_block(block, wts, best, is_member, unpack):
             return bmin
         idxs = np.nonzero(wts == bmin)[0]
         for i in idxs:
-            if not is_member(unpack(block[i])):
+            if not is_member(word(i)):
                 return bmin
         wts[idxs] = _BIG
         bmin = int(wts.min())

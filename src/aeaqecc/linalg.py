@@ -202,7 +202,8 @@ def null_space(m: MatrixGF) -> MatrixGF:
         for i, pc in enumerate(pivots):
             basis[idx, pc] = neg[r.entries[i, f]]
     reduced, nullity, _ = rref(MatrixGF(field, basis))
-    assert nullity == ncols - rk
+    if nullity != ncols - rk:
+        raise RuntimeError(f"null space of dimension {nullity}, expected {ncols - rk}")
     return MatrixGF(field, reduced.entries[:nullity])
 
 

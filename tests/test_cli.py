@@ -69,6 +69,18 @@ def test_analyze_css_pair(capsys, tmp_path):
     assert "exceeds finite GV = false" in out
 
 
+def test_analyze_gf32_exact_distances(capsys, tmp_path):
+    # five-bit entries: each coordinate must get a lane of its own
+    a = write_code(tmp_path / "a.code", 32, 5,
+                   [[1, 0, 4, 22, 12], [0, 1, 5, 26, 19]])
+    b = write_code(tmp_path / "b.code", 32, 5, [[1, 1, 1, 1, 1]])
+    code, out, _ = run(capsys, "analyze", a, b, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["dz"] == {"value": 3, "exact": True, "enumerated": 32**3 - 1}
+    assert doc["dx"] == {"value": 2, "exact": True, "enumerated": 32**4 - 1}
+
+
 def test_analyze_parse_error_has_location(capsys, tmp_path):
     bad = tmp_path / "bad.code"
     bad.write_text("field 2\nn 3\nk 1\nrow 1 2 1\n")

@@ -22,6 +22,7 @@ from aeaqecc.codes import (
     symplectic_weight,
     write_code_file,
 )
+from aeaqecc import enumeration
 from aeaqecc.enumeration import minimum_weight_scan
 from aeaqecc.errors import BudgetExceededError, CodeFormatError, FieldMismatchError
 from aeaqecc.fields import field_create
@@ -110,7 +111,9 @@ def test_first_order_reed_muller():
     assert min_weight(rm).value == 16
 
 
-@pytest.mark.parametrize("p,r", [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (7, 1)])
+@pytest.mark.parametrize(
+    "p,r", [(2, 1), (2, 2), (2, 3), (2, 4), (2, 6), (3, 1), (3, 2), (5, 1), (7, 1)]
+)
 def test_min_weight_matches_naive_enumeration(p, r):
     field = field_create(p, r)
     q = field.order
@@ -153,6 +156,54 @@ def test_relative_min_weight_matches_naive(p):
         else:
             assert report.value == want
         checked += 1
+
+
+def _lanes_per_word(p, r):
+    """Coordinates per 64-bit word: r digits of 1 bit (p = 2) or of the
+    smallest width b with 2^(b-1) >= p."""
+    b = 1 if p == 2 else next(b for b in itertools.count(1) if 2 ** (b - 1) >= p)
+    return 64 // (r * b)
+
+
+@pytest.mark.parametrize(
+    "p,r",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (3, 1), (3, 2), (3, 3), (5, 1),
+     (5, 2), (7, 1), (7, 2)],
+)
+def test_scan_matches_naive_at_word_boundaries(p, r, monkeypatch):
+    # lengths on both sides of a word boundary, rows half zeros so that
+    # low weights hinge on single coordinates, with and without a
+    # membership predicate; each scan runs as one block and again split
+    # into many
+    field = field_create(p, r)
+    q = field.order
+    per_word = _lanes_per_word(p, r)
+    k = max([2] + [k for k in range(1, 8) if q**k <= 128])
+    rng = random.Random(31 * p + r)
+    for n in (per_word - 1, per_word, per_word + 1):
+        rows = [
+            [rng.randrange(1, q) if rng.random() < 0.5 else 0 for _ in range(n)]
+            for _ in range(k)
+        ]
+        code = LinearCode.from_rows(field, rows, n=n)
+        sub = LinearCode.from_rows(field, [list(code.gen.row(0))])
+        gen = code.gen.entries
+        for member in (None, sub.contains):
+            want = (naive_min_weight(gen, field, member=member), q**code.k - 1)
+            assert minimum_weight_scan(gen, field, is_member=member) == want
+            with monkeypatch.context() as m:
+                m.setattr(enumeration, "_BLOCK_TARGET", q)
+                assert minimum_weight_scan(gen, field, is_member=member) == want
+
+
+def test_scan_weights_above_255():
+    # a uint8 weight accumulator would wrap on these words
+    f5 = field_create(5)
+    rng = random.Random(256)
+    gen = np.array([[rng.randrange(1, 5) for _ in range(400)] for _ in range(3)])
+    want = naive_min_weight(gen, f5)
+    assert want >= 256
+    assert minimum_weight_scan(gen, f5) == (want, 5**3 - 1)
 
 
 def test_relative_min_weight_excludes_low_weight_members():

@@ -6,6 +6,7 @@ import pytest
 
 from test_codes import HAMMING_7_4, naive_min_weight
 
+from aeaqecc import eaqecc
 from aeaqecc.codes import LinearCode, WeightReport
 from aeaqecc.eaqecc import (
     AsymEaqeccParams,
@@ -112,6 +113,18 @@ def test_asym_params_budget_floor_fallback():
     # a floor is only a fallback; within budget the exact value wins
     exact = asym_params(c1, c2, dz_floor=1, dx_floor=1)
     assert exact.dz.exact and exact.dx.exact
+
+
+def test_exact_value_below_floor_raises(monkeypatch):
+    # the guard must hold under python -O, so it is no assert
+    f2 = field_create(2)
+    code = LinearCode.from_rows(f2, HAMMING_7_4)
+    monkeypatch.setattr(
+        eaqecc, "relative_min_weight",
+        lambda a, b, budget: WeightReport(value=1, exact=True, enumerated=1),
+    )
+    with pytest.raises(RuntimeError, match="dz bound 2 above exact value 1"):
+        asym_params(code, code, dz_floor=2, dx_floor=1)
 
 
 def test_symplectic_c_vanishes_on_equal_stacks():

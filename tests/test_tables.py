@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from aeaqecc.bch import coset_code
+from aeaqecc.eaqecc import entanglement_c
 from aeaqecc.gv import GvQuery, gv_finite_sum, gv_threshold
 from aeaqecc.linalg import row_space_intersect
 from aeaqecc.tables import (
@@ -121,6 +122,18 @@ def test_table2_distance_reports(results2):
         dz = TABLE2_SHARPER.get(r.index, r.row.d)
         assert r.params.dz.value == dz
         assert r.params.dx.value == r.row.d
+
+
+def test_entanglement_identity_on_every_table_pair():
+    # c is the rank of the pairing, readable off either factor:
+    # c = k1 - dim(C1 & dual C2) = k2 - dim(C2 & dual C1)
+    for row in TABLE1 + TABLE2:
+        c1 = coset_code(row.n, row.q, row.c1_labels)
+        c2 = coset_code(row.n, row.q, row.c2_labels)
+        c = entanglement_c(c1, c2)
+        assert c == row.c
+        assert c == c1.k - row_space_intersect(c1.gen, c2.parity_check).rows
+        assert c == c2.k - row_space_intersect(c2.gen, c1.parity_check).rows
 
 
 def test_table2_row29_independent_enumeration():
