@@ -151,25 +151,28 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
 
     This is the minimum over a \\ (a intersect b); the empty marker is
     returned when a is contained in b (decided without enumeration).
+
+    The scan runs over the basis [I; R] of a: I is the reduced basis of
+    a intersect b, and R the rows of a's reduced generator whose pivot
+    columns lead no row of I.  A word of a then lies in b exactly when
+    its R digits are all zero, which the scan's skip excludes.
     """
     if a.field != b.field:
         raise FieldMismatchError(f"{a.field} vs {b.field}")
     if a.n != b.n:
         raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    if a.is_subcode_of(b):
+    inter = row_space_intersect(a.gen, b.gen).entries
+    s = inter.shape[0]
+    if s == a.k:
         return WeightReport(value=None, exact=True, enumerated=0)
-    if b.k == 0:
+    if s == 0:
         return min_weight(a, budget=budget)
-
-    check = b.parity_check
-
-    def member(vec: np.ndarray) -> bool:
-        if check.rows == 0:
-            return True
-        return not mat_vec(check, vec).any()
-
+    gen = a.gen.entries
+    shared = np.zeros(a.n, dtype=bool)  # the leading columns of I
+    shared[(inter != 0).argmax(axis=1)] = True
+    rest = gen[~shared[(gen != 0).argmax(axis=1)]]
     value, visited = minimum_weight_scan(
-        a.gen.entries, a.field, is_member=member, budget=budget
+        np.vstack([inter, rest]), a.field, skip=s, budget=budget
     )
     if value is None:
         raise RuntimeError("a non-subcode must have a word outside b")

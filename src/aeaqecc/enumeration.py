@@ -19,16 +19,15 @@ the lanes of high and -low are equal, so the table holds -low and a step
 is one XOR.  Blocks are word-major, shape (words, rows), and a weight is
 a sum of per-word popcounts of the nonzero-lane flags.
 
-Weights are computed for every enumerated word; a caller-supplied
-membership predicate can exclude words (checked only for words that would
-improve the running minimum, cheapest-first).  The returned minimum is a
-plain set minimum, so it does not depend on the block split or on the
-order checks happen to run in.
+Word sum_i d_i q^i is sum_i d_i * gen[i], so the words of index below
+q^s are exactly the span of the first s rows.  A scan with skip=s leaves
+them out of the minimum: a caller that puts a basis of a subspace first
+excludes that subspace without testing any word, and skip=0 leaves out
+the zero word alone.  The returned minimum is a plain set minimum, so it
+does not depend on the block split.
 """
 
 from __future__ import annotations
-
-from typing import Callable
 
 import numpy as np
 
@@ -54,16 +53,16 @@ def minimum_weight_scan(
     gen: np.ndarray,
     field: FiniteField,
     *,
-    is_member: Callable[[np.ndarray], bool] | None = None,
+    skip: int = 0,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int | None, int]:
-    """Minimum Hamming weight over the row space of gen, zero word excluded.
+    """Minimum Hamming weight over the row space of gen outside the span
+    of its first `skip` rows (zero word always excluded).
 
     Args:
         gen: (k, n) array of encoded entries with linearly independent rows.
         field: the entries' field.
-        is_member: optional predicate on an encoded coordinate vector;
-            words where it returns True are excluded from the minimum.
+        skip: number of leading rows whose span is excluded, 0..k.
         budget: cap on q^k, the number of codewords visited.
 
     Returns:
@@ -73,13 +72,15 @@ def minimum_weight_scan(
     if gen.ndim != 2:
         raise ValueError("generator must be 2-d")
     k, n = gen.shape
+    if not 0 <= skip <= k:
+        raise ValueError(f"skip={skip} outside 0..{k}")
     q = field.order
     total = q**k
     if total > budget:
         raise BudgetExceededError(total, budget)
     if k == 0 or n == 0:
         return None, max(total - 1, 0)
-    return _scan(gen, field, is_member, total)
+    return _scan(gen, field, q**skip, total)
 
 
 def _pick_k_lo(q: int, k: int, bytes_per_row: int) -> int:
@@ -109,8 +110,7 @@ class _Lanes:
         self.per_word = 64 // width
         self.nwords = -(-n // self.per_word)
         self.offsets = np.arange(0, width * self.per_word, width, dtype=np.uint64)
-        self.lane_mask = np.uint64((1 << width) - 1)
-        # lane image of every element; increasing, so unpack can search it
+        # lane image of every element
         digits = (np.arange(field.order)[:, None] // p ** np.arange(r)) % p
         shifts = np.arange(0, width, b, dtype=np.uint64)
         self.lane = np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=1)
@@ -129,11 +129,6 @@ class _Lanes:
         lanes[..., : self.n] = self.lane[mat]
         lanes = lanes.reshape(mat.shape[:-1] + (self.nwords, self.per_word))
         return np.bitwise_or.reduce(lanes << self.offsets, axis=-1)
-
-    def unpack(self, words: np.ndarray) -> np.ndarray:
-        """(nwords,) packed words -> (n,) encoded entries."""
-        lanes = (words[:, None] >> self.offsets) & self.lane_mask
-        return np.searchsorted(self.lane, lanes.reshape(-1)[: self.n]).astype(np.int64)
 
     def add(self, x, y):
         """Lane-wise field sum x + y."""
@@ -189,15 +184,15 @@ def _column(lanes: _Lanes, rowmul: np.ndarray, index: int) -> np.ndarray:
     return word
 
 
-def _scan(gen, field, is_member, total):
+def _scan(gen, field, skipped, total):
+    """Minimum weight over the words of index >= skipped (module docstring)."""
     q = field.order
     k, n = gen.shape
     lanes = _Lanes(field, n)
     rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
 
     k_lo = _pick_k_lo(q, k, lanes.nwords * 8)
-    low_rows = rowmul[:, :k_lo]
-    neg_low = _span(lanes, low_rows[field.neg_table])
+    neg_low = _span(lanes, rowmul[:, :k_lo][field.neg_table])
     # high words: the next digits from a table no larger than neg_low, the
     # remaining top digits once per pass over that table
     k_mid = min(k - k_lo, k_lo)
@@ -210,35 +205,16 @@ def _scan(gen, field, is_member, total):
     counts = np.empty(neg_low.shape[1], dtype=np.uint8)
     wts = np.empty(neg_low.shape[1], dtype=np.int32)
 
-    def word(i):  # the current block's column i, decoded
-        return lanes.unpack(lanes.add(high[:, 0], _column(lanes, low_rows, i)))
-
-    best = None
+    best = _BIG
     for t in range(q ** top_rows.shape[1]):
         highs = lanes.add(mid, _column(lanes, top_rows, t)[:, None])
         for j in range(highs.shape[1]):
-            high = highs[:, j : j + 1]
-            np.bitwise_xor(neg_low, high, out=diff)
+            np.bitwise_xor(neg_low, highs[:, j : j + 1], out=diff)
             lanes.weights(diff, wts, scratch, counts)
-            if t == 0 and j == 0:
-                wts[0] = _BIG  # the zero word
-            best = _fold_block(wts, best, is_member, word)
+            if skipped > 0:  # words of this block still below index q^skip
+                wts[:skipped] = _BIG
+                skipped -= wts.size
+            best = min(best, int(wts.min()))
             if best == 1:
                 return best, total - 1
-    return best, total - 1
-
-
-def _fold_block(wts, best, is_member, word):
-    """Lower `best` using the weights of one block; word(i) decodes column i."""
-    ceiling = _BIG if best is None else best
-    bmin = int(wts.min())
-    while bmin < ceiling:
-        if is_member is None:
-            return bmin
-        idxs = np.nonzero(wts == bmin)[0]
-        for i in idxs:
-            if not is_member(word(i)):
-                return bmin
-        wts[idxs] = _BIG
-        bmin = int(wts.min())
-    return best
+    return (None if best == _BIG else best), total - 1

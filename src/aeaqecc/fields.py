@@ -167,7 +167,7 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
         coeffs = _decode(m, p, degree) + [1]
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
-    raise AssertionError("no irreducible polynomial found")  # pragma: no cover
+    raise RuntimeError(f"no irreducible polynomial of degree {degree} over GF({p})")  # pragma: no cover
 
 
 class FiniteField:
@@ -219,7 +219,8 @@ class FiniteField:
             if all(self._pow_raw(v, (q - 1) // t) != 1 for t in fac):
                 gen = v
                 break
-        assert gen is not None
+        if gen is None:
+            raise RuntimeError(f"no generator of the unit group of GF({q})")
         self.generator = gen
 
         exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
@@ -473,7 +474,8 @@ class SubfieldEmbedding:
             if acc == 0:
                 beta = v
                 break
-        assert beta is not None, "modulus must split in the extension"
+        if beta is None:
+            raise RuntimeError(f"modulus of {small} has no root in {big}")
         self.beta = beta
         table = np.zeros(small.order, dtype=np.int64)
         for x in range(small.order):

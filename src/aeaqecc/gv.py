@@ -2,10 +2,11 @@
 
 The finite form is an exact rational inequality: a code with the queried
 parameters exists whenever a weighted pair of sphere sums stays below 1.
-Everything here is integer arithmetic through Fraction, so verdicts near
-the boundary are trustworthy.  The asymptotic form compares q-ary
-entropies of the relative distances against the dual rates; those are
-evaluated with 60-digit decimals and strict inequalities.
+Both weights share the denominator q^n - 1, so the inequality is decided
+on integer numerators and verdicts near the boundary are trustworthy.
+The asymptotic form compares q-ary entropies of the relative distances
+against the dual rates; those are evaluated with 60-digit decimals and
+strict inequalities.
 """
 
 from __future__ import annotations
@@ -62,19 +63,21 @@ def sphere_sum(q: int, n: int, d: int) -> int:
     return sum(comb(n, i) * (q - 1) ** i for i in range(1, d))
 
 
-def _fractions(q, n, k1, k2, c) -> tuple[Fraction, Fraction]:
-    denom = q**n - 1
-    f1 = Fraction(q ** (n - k1) - q ** (k2 - c), denom)
-    f2 = Fraction(q ** (n - k2) - q ** (k1 - c), denom)
-    assert f1 >= 0 and f2 >= 0  # guaranteed by the c range
+def _fractions(q, n, k1, k2, c) -> tuple[int, int]:
+    """Numerators of the two sphere-sum weights over the denominator q^n - 1."""
+    f1 = q ** (n - k1) - q ** (k2 - c)
+    f2 = q ** (n - k2) - q ** (k1 - c)
+    if f1 < 0 or f2 < 0:
+        raise RuntimeError(f"negative weight for q={q}, n={n}, k1={k1}, k2={k2}, c={c}")
     return f1, f2
 
 
 def gv_finite_sum(query: GvQuery) -> Fraction:
     """Exact left-hand side of the finite existence inequality."""
-    f1, f2 = _fractions(query.q, query.n, query.k1, query.k2, query.c)
-    return f1 * sphere_sum(query.q, query.n, query.dz) + f2 * sphere_sum(
-        query.q, query.n, query.dx
+    q, n = query.q, query.n
+    f1, f2 = _fractions(q, n, query.k1, query.k2, query.c)
+    return Fraction(
+        f1 * sphere_sum(q, n, query.dz) + f2 * sphere_sum(q, n, query.dx), q**n - 1
     )
 
 
@@ -93,6 +96,7 @@ def gv_threshold(q: int, n: int, k1: int, k2: int, c: int) -> ThresholdPair:
     """
     _validate_shape(q, n, k1, k2, c)
     f1, f2 = _fractions(q, n, k1, k2, c)
+    one = q**n - 1  # the sums below are numerators over this denominator
     # prefix sums up to the off-grid neighbor d = n+2; the i > n binomials
     # vanish, so that last entry repeats and edge pairs drop out naturally
     sums = [0] * (n + 3)
@@ -102,11 +106,11 @@ def gv_threshold(q: int, n: int, k1: int, k2: int, c: int) -> ThresholdPair:
     for d1 in range(1, n + 2):
         for d2 in range(1, n + 2):
             here = f1 * sums[d1] + f2 * sums[d2]
-            if here >= 1:
+            if here >= one:
                 break
             up = f1 * sums[d1 + 1] + f2 * sums[d2]
             right = f1 * sums[d1] + f2 * sums[d2 + 1]
-            if up >= 1 or right >= 1:
+            if up >= one or right >= one:
                 if best is None or (d1, d2) > best:
                     best = (d1, d2)
     if best is None:

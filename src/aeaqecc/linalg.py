@@ -120,33 +120,16 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
     add, mul = field.add_table, field.mul_table
-    be = b.entries
+    ae, be = a.entries, b.entries
     out = np.zeros((a.rows, b.cols), dtype=_ENTRY_DTYPE)
-    for i in range(a.rows):
-        acc = np.zeros(b.cols, dtype=_ENTRY_DTYPE)
-        arow = a.entries[i]
-        for l in range(a.cols):
-            s = arow[l]
-            if s:
-                acc = add[acc, mul[s][be[l]]]
-        out[i] = acc
+    for l in range(a.cols):
+        out = add[out, mul[ae[:, l, None], be[l]]]
     return MatrixGF(field, out)
 
 
 def mat_vec(a: MatrixGF, v: np.ndarray) -> np.ndarray:
     """a @ v for an encoded coordinate vector; returns encoded syndrome."""
-    field = a.field
-    add, mul = field.add_table, field.mul_table
-    out = np.zeros(a.rows, dtype=_ENTRY_DTYPE)
-    for i in range(a.rows):
-        acc = 0
-        row = a.entries[i]
-        for l in range(a.cols):
-            s = row[l]
-            if s and v[l]:
-                acc = add[acc, mul[s, v[l]]]
-        out[i] = acc
-    return out
+    return mat_mul(a, MatrixGF(a.field, np.reshape(v, (-1, 1)))).entries[:, 0]
 
 
 def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
@@ -194,13 +177,10 @@ def null_space(m: MatrixGF) -> MatrixGF:
     field = m.field
     r, rk, pivots = rref(m)
     ncols = m.cols
-    free = [c for c in range(ncols) if c not in set(pivots)]
+    free = [c for c in range(ncols) if c not in pivots]
     basis = np.zeros((len(free), ncols), dtype=_ENTRY_DTYPE)
-    neg = field.neg_table
-    for idx, f in enumerate(free):
-        basis[idx, f] = 1
-        for i, pc in enumerate(pivots):
-            basis[idx, pc] = neg[r.entries[i, f]]
+    basis[range(len(free)), free] = 1
+    basis[:, list(pivots)] = field.neg_table[r.entries[:rk, free]].T
     reduced, nullity, _ = rref(MatrixGF(field, basis))
     if nullity != ncols - rk:
         raise RuntimeError(f"null space of dimension {nullity}, expected {ncols - rk}")
@@ -221,7 +201,8 @@ def row_space_intersect(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """Canonical basis of the intersection of two row spaces.
 
     Zassenhaus-style: reduce [[A A], [B 0]]; rows whose left half became
-    zero hold intersection vectors in their right half.
+    zero hold intersection vectors in their right half, already reduced
+    there because their pivots lie in it.
     """
     field = _same_field(a, b)
     if a.cols != b.cols:
@@ -229,10 +210,6 @@ def row_space_intersect(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     n = a.cols
     top = np.hstack([a.entries, a.entries])
     bot = np.hstack([b.entries, np.zeros_like(b.entries)])
-    block = MatrixGF(field, np.vstack([top, bot]))
-    reduced, rk, _ = rref(block)
+    reduced, rk, _ = rref(MatrixGF(field, np.vstack([top, bot])))
     ent = reduced.entries[:rk]
-    left_zero = ~ent[:, :n].any(axis=1)
-    inter = ent[left_zero][:, n:]
-    reduced2, dim, _ = rref(MatrixGF(field, inter))
-    return MatrixGF(field, reduced2.entries[:dim])
+    return MatrixGF(field, ent[~ent[:, :n].any(axis=1), n:])

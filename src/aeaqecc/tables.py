@@ -220,7 +220,8 @@ def _labels(values) -> str:
 
 def _cells(values) -> str:
     cells = [str(v) for v in values]
-    assert not any("," in c for c in cells), "cells must stay comma-free"
+    if any("," in c for c in cells):
+        raise RuntimeError(f"cells must stay comma-free: {cells}")
     return ",".join(cells)
 
 

@@ -26,6 +26,7 @@ from aeaqecc import enumeration
 from aeaqecc.enumeration import minimum_weight_scan
 from aeaqecc.errors import BudgetExceededError, CodeFormatError, FieldMismatchError
 from aeaqecc.fields import field_create
+from aeaqecc.linalg import MatrixGF, mat_mul
 
 
 def naive_min_weight(gen, field, member=None):
@@ -156,6 +157,27 @@ def test_relative_min_weight_matches_naive(p):
         else:
             assert report.value == want
         checked += 1
+    # b meets a in two or more dimensions, through combinations of all of
+    # a's rows, so the rows of a ∩ b lead at arbitrary pivots of a
+    checked = 0
+    while checked < 12:
+        n = rng.randrange(5, 8)
+        a = LinearCode.from_rows(
+            field, [[rng.randrange(p) for _ in range(n)] for _ in range(4)], n=n
+        )
+        coef = MatrixGF.from_rows(
+            field, [[rng.randrange(p) for _ in range(a.k)] for _ in range(2)]
+        )
+        extra = [rng.randrange(p) for _ in range(n)]
+        b = LinearCode.from_rows(field, mat_mul(coef, a.gen).entries.tolist() + [extra])
+        if a.intersect(b).k < 2 or a.is_subcode_of(b):
+            continue
+        report = relative_min_weight(a, b)
+        assert report.value == naive_min_weight(a.gen.entries, field, member=b.contains)
+        assert report.enumerated == p**a.k - 1
+        full = relative_min_weight(a, LinearCode.full(field, n))
+        assert full.is_empty and full.enumerated == 0
+        checked += 1
 
 
 def _lanes_per_word(p, r):
@@ -172,9 +194,9 @@ def _lanes_per_word(p, r):
 )
 def test_scan_matches_naive_at_word_boundaries(p, r, monkeypatch):
     # lengths on both sides of a word boundary, rows half zeros so that
-    # low weights hinge on single coordinates, with and without a
-    # membership predicate; each scan runs as one block and again split
-    # into many
+    # low weights hinge on single coordinates, with and without the span
+    # of row 0 skipped; each scan runs as one block and again split into
+    # many
     field = field_create(p, r)
     q = field.order
     per_word = _lanes_per_word(p, r)
@@ -188,12 +210,44 @@ def test_scan_matches_naive_at_word_boundaries(p, r, monkeypatch):
         code = LinearCode.from_rows(field, rows, n=n)
         sub = LinearCode.from_rows(field, [list(code.gen.row(0))])
         gen = code.gen.entries
-        for member in (None, sub.contains):
+        for skip, member in ((0, None), (1, sub.contains)):
             want = (naive_min_weight(gen, field, member=member), q**code.k - 1)
-            assert minimum_weight_scan(gen, field, is_member=member) == want
+            assert minimum_weight_scan(gen, field, skip=skip) == want
             with monkeypatch.context() as m:
                 m.setattr(enumeration, "_BLOCK_TARGET", q)
-                assert minimum_weight_scan(gen, field, is_member=member) == want
+                assert minimum_weight_scan(gen, field, skip=skip) == want
+
+
+@pytest.mark.parametrize(
+    "p,r", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]
+)
+def test_scan_skip_of_every_size(p, r, monkeypatch):
+    # skip runs from 0 to k, so with small blocks it covers whole blocks
+    # (skip > k_lo), part of one block, and everything
+    field = field_create(p, r)
+    q = field.order
+    k = max(k for k in range(2, 7) if q**k <= 1024)
+    rng = random.Random(97 * p + r)
+    n = rng.randrange(k + 1, k + 6)
+    code = LinearCode.from_rows(
+        field, [[rng.randrange(q) for _ in range(n)] for _ in range(k)], n=n
+    )
+    gen = code.gen.entries
+    for skip in range(code.k + 1):
+        span = LinearCode.from_rows(field, gen[:skip].tolist(), n=n)
+        want = (naive_min_weight(gen, field, member=span.contains), q**code.k - 1)
+        for target in (q, q**2):
+            with monkeypatch.context() as m:
+                m.setattr(enumeration, "_BLOCK_TARGET", target)
+                assert minimum_weight_scan(gen, field, skip=skip) == want
+
+
+def test_scan_rejects_skip_outside_range():
+    f2 = field_create(2)
+    gen = np.array(HAMMING_7_4)
+    for skip in (-1, 5):
+        with pytest.raises(ValueError):
+            minimum_weight_scan(gen, f2, skip=skip)
 
 
 def test_scan_weights_above_255():
@@ -221,7 +275,7 @@ def test_relative_min_weight_subcode_shortcut():
     b = LinearCode.from_rows(f2, [[1, 1, 0, 0], [0, 0, 1, 1]])
     report = relative_min_weight(a, b)
     assert report.is_empty
-    assert report.enumerated == 0  # decided by rank arithmetic, not scanning
+    assert report.enumerated == 0  # decided by dim(a ∩ b) = dim a, not scanning
 
 
 def test_relative_min_weight_against_zero_code():
@@ -241,7 +295,7 @@ def test_zero_code_min_weight_is_empty():
 def test_scan_with_all_members_excluded():
     f2 = field_create(2)
     gen = np.array(HAMMING_7_4)
-    value, visited = minimum_weight_scan(gen, f2, is_member=lambda v: True)
+    value, visited = minimum_weight_scan(gen, f2, skip=4)
     assert value is None
     assert visited == 15
 

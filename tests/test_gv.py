@@ -1,6 +1,7 @@
 """Existence bounds: exact finite inequality, thresholds, entropy form."""
 
 import itertools
+import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -17,7 +18,9 @@ from aeaqecc.gv import (
     gv_finite_sum,
     gv_threshold,
     sphere_sum,
+    _fractions,
 )
+from aeaqecc.tables import TABLE1
 
 
 def test_sphere_sum_counts_words():
@@ -90,6 +93,63 @@ def brute_threshold(q, n, k1, k2, c):
             if total(d1, d2) < 1 and (total(d1 + 1, d2) >= 1 or total(d1, d2 + 1) >= 1):
                 members.append((d1, d2))
     return max(members) if members else None
+
+
+def fraction_threshold(q, n, k1, k2, c):
+    """The threshold scan in Fraction arithmetic, as gv_threshold once
+    computed it; an oracle for the integer-numerator form."""
+    denom = q**n - 1
+    f1 = Fraction(q ** (n - k1) - q ** (k2 - c), denom)
+    f2 = Fraction(q ** (n - k2) - q ** (k1 - c), denom)
+    sums = [sphere_sum(q, n, d) for d in range(n + 3)]
+    best = None
+    for d1 in range(1, n + 2):
+        for d2 in range(1, n + 2):
+            here = f1 * sums[d1] + f2 * sums[d2]
+            if here >= 1:
+                break
+            up = f1 * sums[d1 + 1] + f2 * sums[d2]
+            right = f1 * sums[d1] + f2 * sums[d2 + 1]
+            if (up >= 1 or right >= 1) and (best is None or (d1, d2) > best):
+                best = (d1, d2)
+    return best, (f1, f2)
+
+
+def _threshold_or_none(q, n, k1, k2, c):
+    try:
+        got = gv_threshold(q, n, k1, k2, c)
+    except ThresholdEmptyError:
+        return None
+    return (got.dz_threshold, got.dx_threshold)
+
+
+def _random_shapes(count, seed):
+    rng = random.Random(seed)
+    for _ in range(count):
+        q = rng.choice([2, 3, 4, 5, 7, 8, 9, 16, 25])
+        n = rng.randrange(1, 41)
+        k1, k2 = rng.randrange(n + 1), rng.randrange(n + 1)
+        yield q, n, k1, k2, rng.randrange(max(0, k1 + k2 - n), min(k1, k2) + 1)
+
+
+def test_threshold_and_sum_match_fraction_form():
+    shapes = [(r.q, r.n, r.k1, r.k2, r.c) for r in TABLE1]
+    shapes += list(_random_shapes(150, seed=2019))
+    for q, n, k1, k2, c in shapes:
+        want, (f1, f2) = fraction_threshold(q, n, k1, k2, c)
+        assert _threshold_or_none(q, n, k1, k2, c) == want
+        for dz, dx in [(1, 1), (2, 1), (n // 2 + 1, n // 3 + 1), (n + 1, n + 1)]:
+            query = GvQuery(q=q, n=n, k1=k1, k2=k2, c=c, dz=dz, dx=dx)
+            old = f1 * sphere_sum(q, n, dz) + f2 * sphere_sum(q, n, dx)
+            assert gv_finite_sum(query) == old
+            assert gv_finite_holds(query) == (old < 1)
+
+
+def test_negative_weight_is_an_error():
+    # outside the c range the weights can go negative; the private helper
+    # must refuse rather than return a meaningless sum
+    with pytest.raises(RuntimeError):
+        _fractions(2, 4, 1, 4, 0)
 
 
 def test_threshold_known_pairs():

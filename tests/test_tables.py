@@ -11,6 +11,7 @@ from aeaqecc.linalg import row_space_intersect
 from aeaqecc.tables import (
     TABLE1,
     TABLE2,
+    _cells,
     diff_against_golden,
     golden_lines,
     reproduce_table1,
@@ -193,3 +194,9 @@ def test_budget_zero_reports_bounds_only(results1):
         assert not r.params.dz.exact and not r.params.dx.exact
         assert r.params.dz.value == r.row.dz
         assert r.params.dx.value == r.row.dx
+
+
+def test_cells_reject_commas():
+    assert _cells((1, ">=5", "true")) == "1,>=5,true"
+    with pytest.raises(RuntimeError):
+        _cells(("a,b",))
