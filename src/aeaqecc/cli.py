@@ -274,6 +274,8 @@ def _cmd_analyze(args) -> int:
         raise _CliError(EXIT_PARSE, str(e))
     try:
         params = asym_params(c1, c2, budget, dz_floor=1, dx_floor=1)
+    except DegeneratePairError as e:
+        raise _CliError(EXIT_USAGE, str(e))
     except (FieldMismatchError, ValueError) as e:
         raise _CliError(EXIT_PARSE, str(e))
     css = params.c == 0

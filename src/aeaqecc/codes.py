@@ -2,8 +2,10 @@
 
 A code is stored by the reduced row echelon form of its generator matrix,
 so two codes are equal exactly when they describe the same row space.
-Minimum and relative minimum weights come from exhaustive enumeration of
-the codeword set, guarded by an explicit visit budget.
+Every intersection comes from LinearCode.intersect, which eliminates
+on a pairing matrix no wider than n.  Minimum and relative minimum
+weights come from exhaustive enumeration of the codeword set, guarded by
+an explicit visit budget.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import numpy as np
 from .enumeration import DEFAULT_BUDGET, minimum_weight_scan
 from .errors import CodeFormatError, FieldMismatchError
 from .fields import FiniteField, field_from_designator
-from .linalg import MatrixGF, mat_vec, rank, row_space, row_space_intersect, stack
+from .linalg import MatrixGF, mat_mul, mat_vec, null_space, rank, row_space, stack
 
 
 @dataclass(frozen=True)
@@ -44,6 +46,13 @@ class WeightReport:
         if self.value is None:
             return "empty"
         return str(self.value) if self.exact else f">={self.value}"
+
+
+def _check_pair(a: LinearCode, b: LinearCode) -> None:
+    if a.field != b.field:
+        raise FieldMismatchError(f"{a.field} vs {b.field}")
+    if a.n != b.n:
+        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
 
 
 class LinearCode:
@@ -78,12 +87,13 @@ class LinearCode:
     @cached_property
     def parity_check(self) -> MatrixGF:
         """Generator of the dual code; x is a codeword iff its syndrome is 0."""
-        from .linalg import null_space
-
         return null_space(self.gen)
 
     def dual(self) -> "LinearCode":
-        return LinearCode(self.field, self.parity_check)
+        """The dual code; its parity check is this code's generator."""
+        code = LinearCode(self.field, self.parity_check)
+        code.parity_check = self.gen
+        return code
 
     def contains(self, vec: Sequence[int]) -> bool:
         v = np.asarray(vec, dtype=np.int64)
@@ -101,11 +111,14 @@ class LinearCode:
         return rank(stack(other.gen, self.gen)) == other.k
 
     def intersect(self, other: "LinearCode") -> "LinearCode":
-        if self.field != other.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-        if self.n != other.n:
-            raise ValueError(f"length mismatch: {self.n} vs {other.n}")
-        return LinearCode(self.field, row_space_intersect(self.gen, other.gen))
+        """The words m·G of other with H·(m·G)ᵀ = 0, H = self.parity_check.
+
+        m spans the right kernel of the pairing H·Gᵀ; for dual(C1) ∩ C2
+        that is G1·G2ᵀ, of rank c, so the result has dimension k2 - c.
+        """
+        _check_pair(self, other)
+        pairing = mat_mul(self.parity_check, other.gen.transpose())
+        return LinearCode(self.field, mat_mul(null_space(pairing), other.gen))
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
@@ -117,10 +130,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"[{self.n},{self.k}] code over GF({self.field.designator})"
-
-
-def dual(code: LinearCode) -> LinearCode:
-    return code.dual()
 
 
 def symplectic_weight(vec: Sequence[int]) -> int:
@@ -153,20 +162,14 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
     returned when a is contained in b (decided without enumeration).
 
     The scan runs over the basis [I; R] of a: I is the reduced basis of
-    a intersect b, and R the rows of a's reduced generator whose pivot
+    a.intersect(b), and R the rows of a's reduced generator whose pivot
     columns lead no row of I.  A word of a then lies in b exactly when
     its R digits are all zero, which the scan's skip excludes.
     """
-    if a.field != b.field:
-        raise FieldMismatchError(f"{a.field} vs {b.field}")
-    if a.n != b.n:
-        raise ValueError(f"length mismatch: {a.n} vs {b.n}")
-    inter = row_space_intersect(a.gen, b.gen).entries
+    inter = a.intersect(b).gen.entries
     s = inter.shape[0]
     if s == a.k:
         return WeightReport(value=None, exact=True, enumerated=0)
-    if s == 0:
-        return min_weight(a, budget=budget)
     gen = a.gen.entries
     shared = np.zeros(a.n, dtype=bool)  # the leading columns of I
     shared[(inter != 0).argmax(axis=1)] = True

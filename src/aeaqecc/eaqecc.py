@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codes import LinearCode, WeightReport, min_weight, relative_min_weight
-from .enumeration import DEFAULT_BUDGET
+from .codes import LinearCode, WeightReport, _check_pair, min_weight, relative_min_weight
+from .enumeration import DEFAULT_BUDGET, check_budget
 from .errors import BudgetExceededError, DegeneratePairError, FieldMismatchError
 from .fields import FiniteField
 from .linalg import MatrixGF, mat_mul, rank, stack
@@ -65,13 +65,6 @@ class AsymEaqeccParams:
         }
 
 
-def _check_pair(c1: LinearCode, c2: LinearCode) -> None:
-    if c1.field != c2.field:
-        raise FieldMismatchError(f"{c1.field} vs {c2.field}")
-    if c1.n != c2.n:
-        raise ValueError(f"length mismatch: {c1.n} vs {c2.n}")
-
-
 def entanglement_c(c1: LinearCode, c2: LinearCode) -> int:
     """Number of entangled pairs the code pair consumes.
 
@@ -82,17 +75,15 @@ def entanglement_c(c1: LinearCode, c2: LinearCode) -> int:
     return rank(mat_mul(c1.gen, c2.gen.transpose()))
 
 
-def _relative_or_floor(a: LinearCode, b: LinearCode, budget, floor, label):
+def _relative_or_floor(c1: LinearCode, c2: LinearCode, budget, floor, label):
+    """wt(dual(C1) \\ C2), or the floor if its q^(n-k1) words exceed budget."""
     try:
-        report = relative_min_weight(a, b, budget=budget)
+        check_budget(c1.field.order, c1.n - c1.k, budget)
     except BudgetExceededError:
         if floor is None:
             raise
         return WeightReport(value=floor, exact=False, enumerated=0)
-    if report.is_empty:
-        raise DegeneratePairError(
-            f"{label} is undefined: dual code lies inside the other code"
-        )
+    report = relative_min_weight(c1.dual(), c2, budget=budget)
     if floor is not None and report.value < floor:
         raise RuntimeError(
             f"{label} bound {floor} above exact value {report.value}"
@@ -110,18 +101,25 @@ def asym_params(
 ) -> AsymEaqeccParams:
     """Parameters of the asymmetric EAQECC built from (C1, C2).
 
-    dz_floor and dx_floor are algebraic lower bounds used when the
-    corresponding exhaustive distance computation exceeds the budget; the
-    resulting report then carries exact=False.  Without a floor the
+    First, k = n - k1 - k2 + c = 0 raises DegeneratePairError at any
+    budget: dim(dual(C1) ∩ C2) = k2 - c is then n - k1, so dual(C1) lies
+    in C2, and likewise dual(C2) in C1.  Then a distance whose scan
+    exceeds the budget (q^(n-k1) words for dz, q^(n-k2) for dx) is
+    refused before any dual is built: dz_floor or dx_floor, an algebraic
+    lower bound, is reported with exact=False, and without a floor the
     budget error propagates.
     """
-    _check_pair(c1, c2)
-    c = entanglement_c(c1, c2)
+    c = entanglement_c(c1, c2)  # checks the pair
     n, k1, k2 = c1.n, c1.k, c2.k
-    dz = _relative_or_floor(c1.dual(), c2, budget, dz_floor, "dz")
-    dx = _relative_or_floor(c2.dual(), c1, budget, dx_floor, "dx")
+    k = n - k1 - k2 + c
+    if k == 0:
+        raise DegeneratePairError(
+            "dz is undefined: dual code lies inside the other code"
+        )
+    dz = _relative_or_floor(c1, c2, budget, dz_floor, "dz")
+    dx = _relative_or_floor(c2, c1, budget, dx_floor, "dx")
     return AsymEaqeccParams(
-        q=c1.field.order, n=n, k=n - k1 - k2 + c, dz=dz, dx=dx, c=c, k1=k1, k2=k2
+        q=c1.field.order, n=n, k=k, dz=dz, dx=dx, c=c, k1=k1, k2=k2
     )
 
 

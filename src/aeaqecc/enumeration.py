@@ -49,6 +49,13 @@ else:  # pragma: no cover
         return out
 
 
+def check_budget(q: int, k: int, budget: int) -> int:
+    """q^k, the words a scan of k rows visits; above budget it raises."""
+    if q**k > budget:
+        raise BudgetExceededError(q**k, budget)
+    return q**k
+
+
 def minimum_weight_scan(
     gen: np.ndarray,
     field: FiniteField,
@@ -74,13 +81,10 @@ def minimum_weight_scan(
     k, n = gen.shape
     if not 0 <= skip <= k:
         raise ValueError(f"skip={skip} outside 0..{k}")
-    q = field.order
-    total = q**k
-    if total > budget:
-        raise BudgetExceededError(total, budget)
+    total = check_budget(field.order, k, budget)
     if k == 0 or n == 0:
         return None, max(total - 1, 0)
-    return _scan(gen, field, q**skip, total)
+    return _scan(gen, field, field.order**skip, total)
 
 
 def _pick_k_lo(q: int, k: int, bytes_per_row: int) -> int:

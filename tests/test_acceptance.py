@@ -255,8 +255,10 @@ def test_criterion_7_property_suites():
             if code.k != expected:
                 problems.append(f"({q},{n}) delta {delta}: dim {code.k} != "
                                 f"coset-size sum {expected}")
-            # raises internally if the linear-algebra cross-check fails
             dual = dual_defining_set(structure, delta)
+            if subfield_subcode(evaluation_code(big, n, dual), q) != code.dual():
+                problems.append(f"({q},{n}) delta {delta}: dual set {dual} "
+                                "does not define the dual code")
             if dual_defining_set(structure, dual) != delta:
                 problems.append(f"({q},{n}) delta {delta}: dual set fails "
                                 "to involute")

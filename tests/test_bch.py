@@ -212,16 +212,26 @@ def test_coset_code():
     assert coset_code(15, 2, [0, 1, 3, 5]).k == 11
 
 
+def _assert_dual_identity(s, delta, dual):
+    # the subfield subcode of E_dual is the dual of that of E_delta
+    big = splitting_field(s.n, s.q)
+    primal = subfield_subcode(evaluation_code(big, s.n, delta), s.q)
+    claimed = subfield_subcode(evaluation_code(big, s.n, dual), s.q)
+    assert claimed == primal.dual()
+
+
 def test_dual_defining_set_known():
     s = cyclotomic_cosets(15, 2)
-    assert dual_defining_set(s, s.closure([0, 1, 3, 5])) == (1, 2, 4, 8)
+    delta = s.closure([0, 1, 3, 5])
+    assert dual_defining_set(s, delta) == (1, 2, 4, 8)
+    _assert_dual_identity(s, delta, (1, 2, 4, 8))
     s24 = cyclotomic_cosets(24, 5)
     got = dual_defining_set(s24, (1, 5))
     assert got == tuple(x for x in range(24) if x not in (19, 23))
+    _assert_dual_identity(s24, (1, 5), got)
 
 
 def test_dual_defining_set_random():
-    # every call re-verifies against the canonical dual generator
     rng = random.Random(3)
     for n, q in [(15, 2), (15, 4), (24, 5), (26, 3)]:
         s = cyclotomic_cosets(n, q)
@@ -230,8 +240,10 @@ def test_dual_defining_set_random():
             delta = s.closure(labels)
             dual = dual_defining_set(s, delta)
             assert len(dual) == n - len(delta)
+            _assert_dual_identity(s, delta, dual)
             back = dual_defining_set(s, dual)
             assert back == delta
+            _assert_dual_identity(s, dual, back)
 
 
 def test_dual_defining_set_rejects_open_sets():

@@ -106,6 +106,16 @@ def test_analyze_mismatched_fields(capsys, tmp_path):
     assert err != ""
 
 
+def test_analyze_degenerate_pair_is_usage_error(capsys, tmp_path):
+    # the [3, 1] repetition code and its [3, 2] dual: k = 0, so dz and dx
+    # are undefined; the files themselves are well formed
+    a = write_code(tmp_path / "a.code", 2, 3, [[1, 1, 1]])
+    b = write_code(tmp_path / "b.code", 2, 3, [[1, 1, 0], [0, 1, 1]])
+    code, out, err = run(capsys, "analyze", a, b)
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "dz is undefined" in err
+
+
 def test_analyze_bound_only_under_small_budget(capsys, tmp_path):
     a = write_code(tmp_path / "a.code", 2, 12, [[1] * 12])
     code, out, _ = run(capsys, "analyze", a, a, "--budget", "1024")

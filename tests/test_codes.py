@@ -26,7 +26,7 @@ from aeaqecc import enumeration
 from aeaqecc.enumeration import minimum_weight_scan
 from aeaqecc.errors import BudgetExceededError, CodeFormatError, FieldMismatchError
 from aeaqecc.fields import field_create
-from aeaqecc.linalg import MatrixGF, mat_mul
+from aeaqecc.linalg import MatrixGF, mat_mul, row_space, row_space_intersect, stack
 
 
 def naive_min_weight(gen, field, member=None):
@@ -387,6 +387,31 @@ def test_intersection():
     meet = a.intersect(b)
     assert meet.k == 1
     assert meet.contains([1, 1, 1, 1])
+    # the syndrome rule against the 2n-wide Zassenhaus reduction, with
+    # zero and full codes on either side
+    for p, r in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]:
+        field = field_create(p, r)
+        rng = random.Random(1000 * p + r)
+
+        def random_code(n, k):
+            rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            return LinearCode.from_rows(field, rows, n=n)
+
+        for _ in range(30):
+            n = rng.randrange(1, 8)
+            a = random_code(n, rng.randrange(0, n + 1))
+            if rng.random() < 0.5:  # a large shared part: b mixes a's rows
+                mix = [[rng.randrange(field.order) for _ in range(a.k)] for _ in range(a.k)]
+                shared = mat_mul(MatrixGF.from_rows(field, mix), a.gen) if a.k else a.gen
+                extra = random_code(n, rng.randrange(0, 2)).gen
+                b = LinearCode(field, row_space(stack(shared, extra)))
+            else:
+                b = random_code(n, rng.randrange(0, n + 1))
+            zero, full = LinearCode.zero(field, n), LinearCode.full(field, n)
+            pairs = [(a, b), (b, a), (a.dual(), b), (b.dual(), a),
+                     (zero, b), (a, zero), (full, b), (a, full)]
+            for x, y in pairs:
+                assert x.intersect(y).gen == row_space_intersect(x.gen, y.gen)
 
 
 def test_field_mismatch_rejected():

@@ -6,7 +6,7 @@ import pytest
 
 from test_codes import HAMMING_7_4, naive_min_weight
 
-from aeaqecc import eaqecc
+from aeaqecc import codes, eaqecc
 from aeaqecc.codes import LinearCode, WeightReport
 from aeaqecc.eaqecc import (
     AsymEaqeccParams,
@@ -16,7 +16,8 @@ from aeaqecc.eaqecc import (
     punctured_params,
     symplectic_c,
 )
-from aeaqecc.errors import BudgetExceededError, FieldMismatchError
+from aeaqecc.enumeration import DEFAULT_BUDGET
+from aeaqecc.errors import BudgetExceededError, DegeneratePairError, FieldMismatchError
 from aeaqecc.fields import field_create
 from aeaqecc.linalg import MatrixGF
 
@@ -97,34 +98,57 @@ def test_asym_params_against_naive_distances(p, r):
         checked += 1
 
 
-def test_asym_params_budget_floor_fallback():
+def test_asym_params_budget_floor_fallback(monkeypatch):
     f2 = field_create(2)
     rng = random.Random(77)
     c1 = random_code(f2, 30, 15, rng)
     c2 = random_code(f2, 30, 15, rng)
     assert not c1.dual().is_subcode_of(c2)
     assert not c2.dual().is_subcode_of(c1)
-    with pytest.raises(BudgetExceededError):
+    # a floor is only a fallback; within budget the exact value wins
+    exact = asym_params(c1, c2, dz_floor=1, dx_floor=1)
+    assert exact.dz.exact and exact.dx.exact
+
+    # a refusal is decided from the dimensions: no dual, no intersection
+    def no_null_space(m):
+        raise AssertionError("a refused scan built a dual or an intersection")
+
+    monkeypatch.setattr(codes, "null_space", no_null_space)
+    c1, c2 = LinearCode(f2, c1.gen), LinearCode(f2, c2.gen)  # nothing cached
+    with pytest.raises(BudgetExceededError) as info:
         asym_params(c1, c2, budget=1 << 10)
+    assert (info.value.required, info.value.budget) == (2 ** (30 - 15), 1 << 10)
     params = asym_params(c1, c2, budget=1 << 10, dz_floor=3, dx_floor=2)
     assert params.dz == WeightReport(value=3, exact=False, enumerated=0)
     assert params.dx == WeightReport(value=2, exact=False, enumerated=0)
     assert params.dz.display() == ">=3"
-    # a floor is only a fallback; within budget the exact value wins
-    exact = asym_params(c1, c2, dz_floor=1, dx_floor=1)
-    assert exact.dz.exact and exact.dx.exact
+    assert (params.k, params.c) == (exact.k, exact.c)
+
+
+def test_degenerate_pair_decided_before_the_budget():
+    # k = 0 means dual(C1) lies in C2 and dual(C2) in C1; that is an
+    # error at any budget, never a floor
+    f2 = field_create(2)
+    code = LinearCode.from_rows(f2, HAMMING_7_4)
+    assert code.dual().is_subcode_of(code)
+    for budget in (1, DEFAULT_BUDGET):
+        with pytest.raises(DegeneratePairError, match="dz is undefined"):
+            asym_params(code, code, budget, dz_floor=1, dx_floor=1)
+    with pytest.raises(DegeneratePairError, match="dz is undefined"):
+        asym_params(code, code, 1)
 
 
 def test_exact_value_below_floor_raises(monkeypatch):
     # the guard must hold under python -O, so it is no assert
     f2 = field_create(2)
-    code = LinearCode.from_rows(f2, HAMMING_7_4)
+    hamming = LinearCode.from_rows(f2, HAMMING_7_4)
+    repetition = LinearCode.from_rows(f2, [[1] * 7])
     monkeypatch.setattr(
         eaqecc, "relative_min_weight",
         lambda a, b, budget: WeightReport(value=1, exact=True, enumerated=1),
     )
     with pytest.raises(RuntimeError, match="dz bound 2 above exact value 1"):
-        asym_params(code, code, dz_floor=2, dx_floor=1)
+        asym_params(hamming, repetition, dz_floor=2, dx_floor=1)
 
 
 def test_symplectic_c_vanishes_on_equal_stacks():

@@ -1,9 +1,11 @@
 """Checks on the package source itself."""
 
 import ast
+import types
 from pathlib import Path
 
 import aeaqecc
+import aeaqecc.cli  # noqa: F401  (imports every layer the tracer wraps)
 
 
 def test_no_assert_statements_in_package():
@@ -18,3 +20,18 @@ def test_no_assert_statements_in_package():
             if isinstance(node, ast.Assert)
         ]
     assert found == []
+
+
+def test_bench_tracer_targets_exist():
+    # bench/tracer.py patches functions by (owner, attribute); a renamed or
+    # dropped attribute would crash every traced benchmark run.  The file
+    # is compiled from its text, so no bytecode is written next to it.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+    tracer = types.ModuleType("tracer")
+    exec(compile(path.read_text(encoding="utf-8"), str(path), "exec"), tracer.__dict__)
+    missing = [
+        f"{getattr(owner, '__name__', owner)}.{attr}"
+        for owner, attr in tracer.wrapped_attributes(aeaqecc)
+        if attr not in vars(owner)
+    ]
+    assert missing == []
