@@ -11,6 +11,9 @@ Multiplication runs on log/antilog tables over a fixed generator (the
 lowest-encoding primitive element).  Fields small enough also carry dense
 q x q addition and multiplication tables used by the vectorized linear
 algebra elsewhere in the package.
+
+Tables and subfield embeddings are built with array operations over all
+encodings at once; only the walk along the generator's powers is a loop.
 """
 
 from __future__ import annotations
@@ -71,13 +74,6 @@ def _decode(value: int, p: int, width: int) -> list[int]:
         out.append(value % p)
         value //= p
     return out
-
-
-def _encode(coeffs: list[int], p: int) -> int:
-    value = 0
-    for c in reversed(coeffs):
-        value = value * p + c
-    return value
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -194,66 +190,72 @@ class FiniteField:
             raise ValueError(f"field order {self.order} beyond supported table size")
         self._build_tables()
 
-    # -- construction helpers -------------------------------------------
-
-    def _mul_raw(self, a: int, b: int) -> int:
-        pa = _poly_trim(_decode(a, self.p, self.degree))
-        pb = _poly_trim(_decode(b, self.p, self.degree))
-        prod = _poly_rem(_poly_mul(pa, pb, self.p), list(self.modulus), self.p)
-        return _encode(prod + [0] * (self.degree - len(prod)), self.p)
-
-    def _pow_raw(self, a: int, e: int) -> int:
-        result = 1
-        while e:
-            if e & 1:
-                result = self._mul_raw(result, a)
-            a = self._mul_raw(a, a)
-            e >>= 1
-        return result
-
     def _build_tables(self) -> None:
-        p, q = self.p, self.order
-        fac = _prime_factors(q - 1) if q > 2 else []
-        gen = None
-        for v in range(1, q):
-            if all(self._pow_raw(v, (q - 1) // t) != 1 for t in fac):
-                gen = v
-                break
-        if gen is None:
-            raise RuntimeError(f"no generator of the unit group of GF({q})")
-        self.generator = gen
+        """Fill the exp/log, negation, inverse and dense pair tables.
 
-        exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
+        Multiplication by x is one gather on encodings, read off the
+        modulus; multiplication by a candidate v is then the digit-wise sum
+        of v_j * (x^j * a) over all a at once.  The generator is the least v
+        whose orbit 1, v, v^2, ... has length q - 1; that orbit, walked
+        through the map a -> a*v, is the exp table.
+        """
+        p, r, q = self.p, self.degree, self.order
+        powers = p ** np.arange(r, dtype=np.int64)
+        vals = np.arange(q, dtype=np.int64)
+        digits = (vals[:, None] // powers[None, :]) % p
+
+        # x * a: shift the digits up one place and subtract lead * modulus
+        shifted = np.zeros_like(digits)
+        shifted[:, 1:] = digits[:, :-1]
+        shifted -= digits[:, -1:] * np.array(self.modulus[:r], dtype=np.int64)
+        times_x = (shifted % p) @ powers
+        x_powers = [vals]
+        for _ in range(r - 1):
+            x_powers.append(times_x[x_powers[-1]])
+
+        # below p lies the prime field, whose units have order < q - 1 when r > 1
+        for v in range(p if r > 1 else 1, q):
+            acc = np.zeros_like(digits)
+            for j, vj in enumerate(_decode(v, p, r)):
+                if vj:
+                    acc += vj * digits[x_powers[j]]
+            times_v = ((acc % p) @ powers).tolist()
+            orbit, cur = [1], times_v[1]
+            while cur != 1:
+                orbit.append(cur)
+                cur = times_v[cur]
+            if len(orbit) == q - 1:
+                self.generator = v
+                break
+        else:
+            raise RuntimeError(f"no generator of the unit group of GF({q})")
+
+        exp = np.array(orbit * 2, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
-        cur = 1
-        for i in range(q - 1):
-            exp[i] = cur
-            log[cur] = i
-            cur = self._mul_raw(cur, gen)
-        exp[q - 1 :] = exp[: len(exp) - (q - 1)]
+        log[exp[: q - 1]] = np.arange(q - 1)
         self._exp = exp
         self._log = log
-
-        vals = np.arange(q, dtype=np.int64)
-        powers = p ** np.arange(self.degree, dtype=np.int64)
-        digits = (vals[:, None] // powers[None, :]) % p
-        self._neg = (((p - digits) % p) * powers[None, :]).sum(axis=1)
-
+        self._neg = ((p - digits) % p) @ powers
         inv = np.zeros(q, dtype=np.int64)
-        if q > 1:
-            inv[1:] = exp[(q - 1) - log[1:]]
+        inv[1:] = exp[(q - 1) - log[1:]]
         self._inv = inv
 
-        if q <= _PAIR_TABLE_LIMIT:
-            sums = (digits[:, None, :] + digits[None, :, :]) % p
-            self._add2 = (sums * powers[None, None, :]).sum(axis=2).astype(np.int16)
-            mul = np.zeros((q, q), dtype=np.int16)
-            nz = vals[1:]
-            mul[1:, 1:] = exp[log[nz][:, None] + log[nz][None, :]].astype(np.int16)
-            self._mul2 = mul
-        else:
+        if q > _PAIR_TABLE_LIMIT:
             self._add2 = None
             self._mul2 = None
+            return
+        if p == 2:
+            enc = vals.astype(np.int16)
+            add = enc[:, None] ^ enc[None, :]
+        else:
+            add = np.zeros((q, q), dtype=np.int16)
+            for d, power in zip(digits.T.astype(np.int16), powers):
+                add += (d[:, None] + d[None, :]) % p * np.int16(power)
+        self._add2 = add
+        logs = log[1:].astype(np.int32)
+        mul = np.zeros((q, q), dtype=np.int16)
+        mul[1:, 1:] = exp.astype(np.int16)[logs[:, None] + logs[None, :]]
+        self._mul2 = mul
 
     # -- scalar operations ----------------------------------------------
 
@@ -452,6 +454,25 @@ def primitive_nth_root(field: FiniteField, n: int) -> int:
     return int(field._exp[units * ((field.order - 1) // n)].min())
 
 
+def _horner(field: FiniteField, coeffs, x) -> np.ndarray:
+    """sum_j coeffs[j] * x^j in ``field``, elementwise over arrays.
+
+    Each coefficient is a prime-field value (or an array of them), so adding
+    it touches only digit 0 of an encoding; the products run through the
+    exp/log tables.
+    """
+    p = field.p
+    log_x = field._log[np.asarray(x)]
+    acc = np.zeros_like(log_x)  # takes the coefficients' shape on the first step
+    for c in reversed(coeffs):
+        log_acc = field._log[acc]
+        prod = np.where((log_acc < 0) | (log_x < 0), 0,
+                        field._exp[log_acc + log_x])
+        low = prod % p
+        acc = prod - low + (low + c) % p
+    return acc
+
+
 class SubfieldEmbedding:
     """GF(p^r) inside GF(p^l), r | l, via the lowest-encoded modulus root.
 
@@ -466,37 +487,25 @@ class SubfieldEmbedding:
             raise ValueError(f"{small} does not embed into {big}")
         self.small = small
         self.big = big
-        beta = None
-        for v in range(big.order):
-            acc = 0
-            for c in reversed(small.modulus):
-                acc = big.add(big.mul(acc, v), c % big.p)
-            if acc == 0:
-                beta = v
-                break
-        if beta is None:
+        roots = np.flatnonzero(_horner(big, small.modulus, np.arange(big.order)) == 0)
+        if roots.size == 0:
             raise RuntimeError(f"modulus of {small} has no root in {big}")
-        self.beta = beta
-        table = np.zeros(small.order, dtype=np.int64)
-        for x in range(small.order):
-            coeffs = _decode(x, small.p, small.degree)
-            acc = 0
-            for c in reversed(coeffs):
-                acc = big.add(big.mul(acc, beta), c)
-            table[x] = acc
-        self._embed = table
-        self._retract = {int(v): x for x, v in enumerate(table)}
+        self.beta = beta = int(roots[0])
+        # x = sum_j x_j * beta^j for the digits x_j of every small encoding
+        values = np.arange(small.order, dtype=np.int64)
+        digits = [(values // small.p**j) % small.p for j in range(small.degree)]
+        self._embed = _horner(big, digits, beta)
+        self._retract = np.full(big.order, -1, dtype=np.int64)
+        self._retract[self._embed] = values
 
     def embed(self, value: int) -> int:
         return int(self._embed[self.small.check_value(value)])
 
     def retract(self, value: int) -> int:
-        try:
-            return self._retract[value]
-        except KeyError:
-            raise ValueError(
-                f"{value} is not in the embedded copy of {self.small}"
-            ) from None
+        x = int(self._retract[value]) if 0 <= value < self.big.order else -1
+        if x < 0:
+            raise ValueError(f"{value} is not in the embedded copy of {self.small}")
+        return x
 
     def relative_trace(self, value: int) -> int:
         """Trace from the big field onto the embedded small field."""
@@ -522,9 +531,7 @@ class SubfieldEmbedding:
             e = (e * small.order) % units
         sums = np.zeros(big.order, dtype=np.int64)
         sums[1:] = ((digits % p) * powers[None, :]).sum(axis=1)
-        retract = np.full(big.order, -1, dtype=np.int64)
-        retract[self._embed] = np.arange(small.order)
-        table = retract[sums]
+        table = self._retract[sums]
         if (table < 0).any():
             raise RuntimeError(f"trace from {big} left the embedded copy of {small}")
         table.flags.writeable = False

@@ -199,6 +199,17 @@ def test_bch_construct_by_labels(capsys):
     assert out.splitlines()[0] == "[[15, 2, 10/10; 13]]_2"
 
 
+def test_bch_construct_over_gf2048(capsys):
+    # n = 23 splits over GF(2^11), the largest field with dense pair tables
+    code, out, _ = run(capsys, "bch-construct", "--q", "2", "--n", "23",
+                       "--s", "0", "--t", "1", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["k"], doc["k1"], doc["k2"], doc["c"]) == (11, 12, 1, 1)
+    assert doc["dz"] == {"enumerated": 2047, "exact": True, "value": 8}
+    assert doc["dx"]["exact"] and doc["dx"]["value"] == 2
+
+
 def test_bch_construct_usage_errors(capsys):
     code, _, err = run(capsys, "bch-construct", "--q", "2", "--n", "15")
     assert code == 2 and "either" in err

@@ -1,7 +1,9 @@
 """Field construction, arithmetic tables, embeddings, traces."""
 
 import random
+import tracemalloc
 
+import numpy as np
 import pytest
 
 from aeaqecc.errors import FieldMismatchError
@@ -18,6 +20,82 @@ from aeaqecc.fields import (
     primitive_nth_root,
     subfield_embedding,
 )
+
+# every field the benchmark workloads build
+WORKLOAD_FIELDS = [
+    (2, 1), (2, 2), (2, 3), (2, 4), (2, 5), (2, 6), (2, 8), (2, 10), (2, 12),
+    (3, 1), (3, 2), (3, 3), (3, 4), (3, 5), (3, 6), (5, 1), (5, 2), (5, 3),
+    (5, 4), (5, 5), (7, 1), (7, 2), (7, 3), (7, 4),
+]
+
+
+def _scalar_tables(field):
+    """The field's tables built one element at a time, as an oracle.
+
+    Polynomial products are reduced by the modulus in plain Python; the
+    generator is the least v with v^((q-1)/t) != 1 for every prime t | q-1,
+    and exp is filled by repeated multiplication by it.  The pair tables
+    are built row by row from the digits and from exp/log.
+    """
+    p, r, q, mod = field.p, field.degree, field.order, list(field.modulus)
+
+    def decode(v):
+        return [(v // p**i) % p for i in range(r)]
+
+    def mul_raw(a, b):
+        prod = [0] * (2 * r - 1)
+        for i, ai in enumerate(decode(a)):
+            for j, bj in enumerate(decode(b)):
+                prod[i + j] = (prod[i + j] + ai * bj) % p
+        for top in range(2 * r - 2, r - 1, -1):
+            lead = prod[top]
+            for i in range(r):
+                prod[top - r + i] = (prod[top - r + i] - lead * mod[i]) % p
+        return sum(c * p**i for i, c in enumerate(prod[:r]))
+
+    def pow_raw(a, e):
+        result = 1
+        while e:
+            if e & 1:
+                result = mul_raw(result, a)
+            a = mul_raw(a, a)
+            e >>= 1
+        return result
+
+    factors = [t for t in range(2, q) if (q - 1) % t == 0 and all(t % d for d in range(2, t))]
+    gen = next(v for v in range(1, q) if all(pow_raw(v, (q - 1) // t) != 1 for t in factors))
+    exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
+    log = np.full(q, -1, dtype=np.int64)
+    cur = 1
+    for i in range(q - 1):
+        exp[i] = cur
+        log[cur] = i
+        cur = mul_raw(cur, gen)
+    exp[q - 1 :] = exp[: len(exp) - (q - 1)]
+    digits = np.array([decode(v) for v in range(q)], dtype=np.int64).reshape(q, r)
+    powers = p ** np.arange(r, dtype=np.int64)
+    neg = (((p - digits) % p) * powers).sum(axis=1)
+    inv = np.zeros(q, dtype=np.int64)
+    inv[1:] = exp[(q - 1) - log[1:]]
+    tables = {"generator": gen, "_exp": exp, "_log": log, "_neg": neg, "_inv": inv}
+    if q <= 2048:
+        add = np.zeros((q, q), dtype=np.int16)
+        mul = np.zeros((q, q), dtype=np.int16)
+        for a in range(q):
+            add[a] = ((digits[a] + digits) % p) @ powers
+            if a:
+                mul[a, 1:] = exp[log[a] + log[1:]]
+        tables.update(add_table=add, mul_table=mul)
+    return tables
+
+
+def _assert_tables_match_oracle(field):
+    for name, want in _scalar_tables(field).items():
+        got = getattr(field, name)
+        if name == "generator":
+            assert got == want, field
+        else:
+            assert got.dtype == want.dtype and np.array_equal(got, want), (field, name)
 
 
 def _naive_poly_eval(coeffs, x, field):
@@ -129,6 +207,40 @@ def test_gf4_arithmetic_examples():
     assert F.pow(2, 3) == 1
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_tables_match_scalar_oracle():
+    for p, r in WORKLOAD_FIELDS + [(11, 1), (13, 1), (257, 1)]:
+        _assert_tables_match_oracle(field_create(p, r))
+
+
+def test_tables_match_scalar_oracle_when_x_is_not_primitive():
+    # the root x of the default modulus has order below q - 1 here
+    for (p, r), gen in {(2, 12): 3, (5, 4): 6, (5, 5): 10, (7, 4): 12}.items():
+        field = field_create(p, r)
+        assert field.generator == gen
+        assert multiplicative_order(field, p) < field.order - 1
+        _assert_tables_match_oracle(field)
+
+
+def test_tables_match_scalar_oracle_for_other_moduli():
+    for p, modulus in [(2, (1, 0, 0, 1, 1)), (3, (2, 2, 0, 1)), (5, (2, 1, 1)),
+                       (2, (1, 0, 1, 1, 1, 0, 0, 0, 1))]:
+        field = FiniteField(p, len(modulus) - 1, modulus)
+        assert field.modulus != default_modulus(p, field.degree)
+        _assert_tables_match_oracle(field)
+
+
+def test_build_memory_stays_small():
+    # the pair tables are 2 bytes per entry: 2 and 8 MiB for these orders
+    for degree in (10, 11):
+        tracemalloc.start()
+        try:
+            FiniteField(2, degree)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20, (degree, peak / 2**20)
 
 
 def test_field_axioms_exhaustive_small():
@@ -281,6 +393,24 @@ def test_subfield_embedding_is_a_field_homomorphism():
         # the embedding root is the smallest one
         roots = [v for v in range(big.order) if _naive_poly_eval(small.modulus, v, big) == 0]
         assert emb.beta == min(roots)
+    # scalar oracle on every (small, big) pair with p <= 13 and |big| <= 2^13
+    pairs = [((p, s), (p, r)) for p in (2, 3, 5, 7, 11, 13) for r in range(1, 14)
+             if p**r <= 2**13 for s in range(1, r + 1) if r % s == 0]
+    assert len(pairs) == 85
+    for (ps, rs), (pb, rb) in pairs:
+        small, big = field_create(ps, rs), field_create(pb, rb)
+        emb = subfield_embedding(small, big)
+        beta = next(v for v in range(big.order) if _naive_poly_eval(small.modulus, v, big) == 0)
+        embed = [_naive_poly_eval([(x // ps**j) % ps for j in range(rs)], beta, big)
+                 for x in range(small.order)]
+        assert emb.beta == beta
+        assert emb._embed.dtype == np.int64 and emb._embed.tolist() == embed
+        assert [emb.retract(v) for v in embed] == list(range(small.order))
+        outside = sorted(set(range(big.order)) - set(embed))[:5]
+        for v in outside:
+            with pytest.raises(ValueError):
+                emb.retract(v)
+        assert emb.trace_table.tolist() == [emb.relative_trace(v) for v in range(big.order)]
 
 
 def test_relative_trace_maps_onto_small_field():
