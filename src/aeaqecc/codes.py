@@ -28,7 +28,8 @@ class WeightReport:
 
     value is None exactly when the target set was empty.  exact is False
     for reports that only carry an algebraic lower bound; enumerated is
-    the number of codewords visited to produce the report.
+    the number of codewords covered to produce the report, q^k - 1 for a
+    scan of k rows.
     """
 
     value: int | None

@@ -107,7 +107,8 @@ def asym_params(
     exceeds the budget (q^(n-k1) words for dz, q^(n-k2) for dx) is
     refused before any dual is built: dz_floor or dx_floor, an algebraic
     lower bound, is reported with exact=False, and without a floor the
-    budget error propagates.
+    budget error propagates.  An identical pair with equal floors has
+    dual(C2) \\ C1 = dual(C1) \\ C2, so dx is dz, scanned once.
     """
     c = entanglement_c(c1, c2)  # checks the pair
     n, k1, k2 = c1.n, c1.k, c2.k
@@ -117,7 +118,10 @@ def asym_params(
             "dz is undefined: dual code lies inside the other code"
         )
     dz = _relative_or_floor(c1, c2, budget, dz_floor, "dz")
-    dx = _relative_or_floor(c2, c1, budget, dx_floor, "dx")
+    if c1 == c2 and dz_floor == dx_floor:
+        dx = dz
+    else:
+        dx = _relative_or_floor(c2, c1, budget, dx_floor, "dx")
     return AsymEaqeccParams(
         q=c1.field.order, n=n, k=k, dz=dz, dx=dx, c=c, k1=k1, k2=k2
     )

@@ -25,6 +25,13 @@ them out of the minimum: a caller that puts a basis of a subspace first
 excludes that subspace without testing any word, and skip=0 leaves out
 the zero word alone.  The returned minimum is a plain set minimum, so it
 does not depend on the block split.
+
+Weights are invariant under nonzero scalars, so the scan visits one word
+per scalar class (MacWilliams & Sloane, ch. 1): the low table meets only
+the high indices that are 0 or whose top nonzero base-q digit is 1, about
+q^k/(q - 1) + q^k_lo words in all, and over GF(2) every word.  skip stays
+exact, as the span of the first s rows is closed under scalars.  The
+budget and the returned count are still q^k, the words covered.
 """
 
 from __future__ import annotations
@@ -50,7 +57,7 @@ else:  # pragma: no cover
 
 
 def check_budget(q: int, k: int, budget: int) -> int:
-    """q^k, the words a scan of k rows visits; above budget it raises."""
+    """q^k, the words a scan of k rows covers; above budget it raises."""
     if q**k > budget:
         raise BudgetExceededError(q**k, budget)
     return q**k
@@ -70,10 +77,11 @@ def minimum_weight_scan(
         gen: (k, n) array of encoded entries with linearly independent rows.
         field: the entries' field.
         skip: number of leading rows whose span is excluded, 0..k.
-        budget: cap on q^k, the number of codewords visited.
+        budget: cap on q^k, the number of codewords covered.
 
     Returns:
-        (minimum or None if every nonzero word was excluded, words visited).
+        (minimum or None if every nonzero word was excluded,
+        words covered (q^k - 1)).
     """
     gen = np.asarray(gen, dtype=np.int64)
     if gen.ndim != 2:
@@ -188,6 +196,13 @@ def _column(lanes: _Lanes, rowmul: np.ndarray, index: int) -> np.ndarray:
     return word
 
 
+def _leaders(q: int, digits: int):
+    """0, then every index below q^digits whose top nonzero base-q digit is 1."""
+    yield 0
+    for i in range(digits):
+        yield from range(q**i, 2 * q**i)
+
+
 def _scan(gen, field, skipped, total):
     """Minimum weight over the words of index >= skipped (module docstring)."""
     q = field.order
@@ -210,14 +225,15 @@ def _scan(gen, field, skipped, total):
     wts = np.empty(neg_low.shape[1], dtype=np.int32)
 
     best = _BIG
-    for t in range(q ** top_rows.shape[1]):
+    for t in _leaders(q, top_rows.shape[1]):
         highs = lanes.add(mid, _column(lanes, top_rows, t)[:, None])
-        for j in range(highs.shape[1]):
+        for j in _leaders(q, k_mid) if t == 0 else range(highs.shape[1]):
             np.bitwise_xor(neg_low, highs[:, j : j + 1], out=diff)
             lanes.weights(diff, wts, scratch, counts)
-            if skipped > 0:  # words of this block still below index q^skip
-                wts[:skipped] = _BIG
-                skipped -= wts.size
+            # words of block h = t*q^k_mid + j still below index q^skip
+            cut = skipped - (t * highs.shape[1] + j) * wts.size
+            if cut > 0:
+                wts[:cut] = _BIG
             best = min(best, int(wts.min()))
             if best == 1:
                 return best, total - 1

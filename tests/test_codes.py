@@ -219,11 +219,13 @@ def test_scan_matches_naive_at_word_boundaries(p, r, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "p,r", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)]
+    "p,r",
+    [(2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1), (5, 2), (7, 1)],
 )
 def test_scan_skip_of_every_size(p, r, monkeypatch):
     # skip runs from 0 to k, so with small blocks it covers whole blocks
-    # (skip > k_lo), part of one block, and everything
+    # (skip > k_lo), part of one block, the top rows, and everything; the
+    # oracle stays scalar over all q^k words, not one per scalar class
     field = field_create(p, r)
     q = field.order
     k = max(k for k in range(2, 7) if q**k <= 1024)
@@ -240,6 +242,45 @@ def test_scan_skip_of_every_size(p, r, monkeypatch):
             with monkeypatch.context() as m:
                 m.setattr(enumeration, "_BLOCK_TARGET", target)
                 assert minimum_weight_scan(gen, field, skip=skip) == want
+
+
+@pytest.mark.parametrize("p,r,k", [(2, 1, 7), (2, 2, 4), (7, 1, 3), (3, 2, 3)])
+def test_scan_visits_one_word_per_scalar_class(p, r, k, monkeypatch):
+    # high indices whose top nonzero digit is not 1 are never combined with
+    # the low table, so a scan runs 1 + (q^(k-k_lo) - 1)/(q - 1) blocks of
+    # q^k_lo words (all q^k words over GF(2)), while it still reports
+    # q^k - 1 words covered; [I | 1] has minimum weight 2, so no early
+    # exit cuts the count short
+    field = field_create(p, r)
+    q = field.order
+    gen = np.hstack([np.eye(k, dtype=np.int64), np.ones((k, 1), dtype=np.int64)])
+    want = (naive_min_weight(gen, field), q**k - 1)
+    assert want[0] == 2
+    combined = []
+    weights = enumeration._Lanes.weights
+
+    def spy(self, diff, *args):
+        combined.append(diff.shape[1])
+        return weights(self, diff, *args)
+
+    for k_lo in (1, 2):  # k_lo = 1 splits off mid and top rows
+        with monkeypatch.context() as m:
+            m.setattr(enumeration._Lanes, "weights", spy)
+            m.setattr(enumeration, "_BLOCK_TARGET", q**k_lo)
+            combined.clear()
+            assert minimum_weight_scan(gen, field) == want
+        assert combined == [q**k_lo] * (1 + (q ** (k - k_lo) - 1) // (q - 1))
+
+
+def test_scan_early_exit_reports_words_covered(monkeypatch):
+    # a weight-1 word ends the scan early, before the last block when the
+    # blocks are small; the count is still q^k - 1
+    f7 = field_create(7)
+    gen = np.array([[0, 3, 2, 5, 6], [0, 0, 4, 1, 1], [0, 0, 0, 2, 0]])
+    for target in (enumeration._BLOCK_TARGET, 7):
+        monkeypatch.setattr(enumeration, "_BLOCK_TARGET", target)
+        assert minimum_weight_scan(gen, f7) == (1, 7**3 - 1)
+        assert minimum_weight_scan(gen, f7, skip=3) == (None, 7**3 - 1)
 
 
 def test_scan_rejects_skip_outside_range():

@@ -151,6 +151,32 @@ def test_exact_value_below_floor_raises(monkeypatch):
         asym_params(hamming, repetition, dz_floor=2, dx_floor=1)
 
 
+def test_identical_pair_scans_once(monkeypatch):
+    # dual(C2) \ C1 is literally dual(C1) \ C2 when C1 = C2, so with equal
+    # floors dx reuses the dz scan; different floors take the general path
+    f4 = field_create(2, 2)
+    code = random_code(f4, 8, 3, random.Random(8))
+    assert not code.dual().is_subcode_of(code)
+    scans = []
+
+    def spy(a, b, budget):
+        scans.append((a, b))
+        return codes.relative_min_weight(a, b, budget=budget)
+
+    monkeypatch.setattr(eaqecc, "relative_min_weight", spy)
+    once = asym_params(code, code, dz_floor=1, dx_floor=1)
+    assert len(scans) == 1
+    assert asym_params(code, LinearCode(f4, code.gen)) == once
+    assert len(scans) == 2
+    twice = asym_params(code, code, dz_floor=1, dx_floor=2)
+    assert len(scans) == 4
+    assert twice == once
+    assert once.dz == once.dx
+    assert once.dz.exact and once.dz.enumerated == 4 ** (8 - 3) - 1
+    with pytest.raises(RuntimeError, match="dx bound 9 above exact value"):
+        asym_params(code, code, dz_floor=1, dx_floor=9)
+
+
 def test_symplectic_c_vanishes_on_equal_stacks():
     f2 = field_create(2)
     h = MatrixGF.from_rows(f2, [[1, 0, 1], [0, 1, 1]])
