@@ -19,7 +19,7 @@ import numpy as np
 from .enumeration import DEFAULT_BUDGET, minimum_weight_scan
 from .errors import CodeFormatError, FieldMismatchError
 from .fields import FiniteField, field_from_designator
-from .linalg import MatrixGF, mat_mul, mat_vec, null_space, rank, row_space, stack
+from .linalg import MatrixGF, echelon_basis, mat_mul, mat_vec, null_space, rank, stack
 
 
 @dataclass(frozen=True)
@@ -57,16 +57,19 @@ def _check_pair(a: LinearCode, b: LinearCode) -> None:
 
 
 class LinearCode:
-    """A linear [n, k] code over a finite field, kept in canonical form."""
+    """A linear [n, k] code over a finite field, kept in canonical form.
+
+    gen is the reduced generator and pivots its pivot columns, the column
+    of each row's leading 1.
+    """
 
     def __init__(self, field: FiniteField, gen: MatrixGF):
         if gen.field != field:
             raise FieldMismatchError(f"{gen.field} generator for {field} code")
         self.field = field
         self.n = gen.cols
-        canonical = row_space(gen)
-        self.k = canonical.rows
-        self.gen = canonical
+        self.gen, self.pivots = echelon_basis(gen)
+        self.k = self.gen.rows
 
     @classmethod
     def from_rows(cls, field: FiniteField, rows: Iterable[Sequence[int]], n: int | None = None) -> "LinearCode":
@@ -87,8 +90,11 @@ class LinearCode:
 
     @cached_property
     def parity_check(self) -> MatrixGF:
-        """Generator of the dual code; x is a codeword iff its syndrome is 0."""
-        return null_space(self.gen)
+        """Generator of the dual code; x is a codeword iff its syndrome is 0.
+
+        Read off the reduced generator and its pivots, with no elimination.
+        """
+        return null_space(self.gen, self.pivots)
 
     def dual(self) -> "LinearCode":
         """The dual code; its parity check is this code's generator."""
@@ -167,16 +173,15 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
     columns lead no row of I.  A word of a then lies in b exactly when
     its R digits are all zero, which the scan's skip excludes.
     """
-    inter = a.intersect(b).gen.entries
-    s = inter.shape[0]
+    inter = a.intersect(b)
+    s = inter.k
     if s == a.k:
         return WeightReport(value=None, exact=True, enumerated=0)
-    gen = a.gen.entries
     shared = np.zeros(a.n, dtype=bool)  # the leading columns of I
-    shared[(inter != 0).argmax(axis=1)] = True
-    rest = gen[~shared[(gen != 0).argmax(axis=1)]]
+    shared[list(inter.pivots)] = True
+    rest = a.gen.entries[~shared[list(a.pivots)]]
     value, visited = minimum_weight_scan(
-        np.vstack([inter, rest]), a.field, skip=s, budget=budget
+        np.vstack([inter.gen.entries, rest]), a.field, skip=s, budget=budget
     )
     if value is None:
         raise RuntimeError("a non-subcode must have a word outside b")

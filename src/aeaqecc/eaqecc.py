@@ -91,6 +91,14 @@ def _relative_or_floor(c1: LinearCode, c2: LinearCode, budget, floor, label):
     return report
 
 
+def _mirrored(c1: LinearCode, c2: LinearCode) -> bool:
+    """C2 is C1 or C1 read backwards, for codes of equal dimension."""
+    if c1 == c2:
+        return True
+    reversed2 = MatrixGF(c2.field, c2.gen.entries[:, ::-1])
+    return not mat_mul(c1.parity_check, reversed2.transpose()).entries.any()
+
+
 def asym_params(
     c1: LinearCode,
     c2: LinearCode,
@@ -107,8 +115,14 @@ def asym_params(
     exceeds the budget (q^(n-k1) words for dz, q^(n-k2) for dx) is
     refused before any dual is built: dz_floor or dx_floor, an algebraic
     lower bound, is reported with exact=False, and without a floor the
-    budget error propagates.  An identical pair with equal floors has
-    dual(C2) \\ C1 = dual(C1) \\ C2, so dx is dz, scanned once.
+    budget error propagates.
+
+    With k1 = k2 and equal floors, dx is dz without a second scan when
+    C2 is C1 or C1 read backwards: reversing coordinates maps dual(C1)
+    onto dual(C2) and C2 onto C1, so dual(C2) \\ C1 is dual(C1) \\ C2
+    read backwards, of the same weights, and both scans cover
+    q^(n-k1) - 1 words.  A refused dz means a refused dx, with the same
+    floor.
     """
     c = entanglement_c(c1, c2)  # checks the pair
     n, k1, k2 = c1.n, c1.k, c2.k
@@ -118,7 +132,7 @@ def asym_params(
             "dz is undefined: dual code lies inside the other code"
         )
     dz = _relative_or_floor(c1, c2, budget, dz_floor, "dz")
-    if c1 == c2 and dz_floor == dx_floor:
+    if k1 == k2 and dz_floor == dx_floor and (not dz.exact or _mirrored(c1, c2)):
         dx = dz
     else:
         dx = _relative_or_floor(c2, c1, budget, dx_floor, "dx")

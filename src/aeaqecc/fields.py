@@ -9,11 +9,12 @@ to every table entry.
 
 Multiplication runs on log/antilog tables over a fixed generator (the
 lowest-encoding primitive element).  Fields small enough also carry dense
-q x q addition and multiplication tables used by the vectorized linear
-algebra elsewhere in the package.
+q x q addition and multiplication tables, built on first use, for the
+vectorized linear algebra elsewhere in the package.
 
 Tables and subfield embeddings are built with array operations over all
-encodings at once; only the walk along the generator's powers is a loop.
+encodings at once; only the batches of generator candidates and the walk
+along the generator's powers are loops.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ from .errors import FieldMismatchError
 # tables alone serve larger fields.
 _PAIR_TABLE_LIMIT = 2048
 _LOG_TABLE_LIMIT = 1 << 16
+# Generator candidates tested together by _build_tables.
+_GENERATOR_BATCH = 4
 
 
 def _prime_factors(m: int) -> list[int]:
@@ -191,13 +194,15 @@ class FiniteField:
         self._build_tables()
 
     def _build_tables(self) -> None:
-        """Fill the exp/log, negation, inverse and dense pair tables.
+        """Fill the exp/log, negation and inverse tables.
 
         Multiplication by x is one gather on encodings, read off the
-        modulus; multiplication by a candidate v is then the digit-wise sum
-        of v_j * (x^j * a) over all a at once.  The generator is the least v
-        whose orbit 1, v, v^2, ... has length q - 1; that orbit, walked
-        through the map a -> a*v, is the exp table.
+        modulus; multiplication by v is then a linear map over GF(p) whose
+        matrix has the digits of x^i * v as row i.  The generator is the
+        least v with v^((q-1)/t) != 1 for every prime t | q - 1, tested on
+        a batch of candidates at a time by square-and-multiply on those
+        matrices; its orbit 1, v, v^2, ..., walked through the map
+        a -> a*v, is the exp table.
         """
         p, r, q = self.p, self.degree, self.order
         powers = p ** np.arange(r, dtype=np.int64)
@@ -209,26 +214,44 @@ class FiniteField:
         shifted[:, 1:] = digits[:, :-1]
         shifted -= digits[:, -1:] * np.array(self.modulus[:r], dtype=np.int64)
         times_x = (shifted % p) @ powers
-        x_powers = [vals]
-        for _ in range(r - 1):
-            x_powers.append(times_x[x_powers[-1]])
+        x_powers = np.empty((r, q), dtype=np.int64)  # [i, a] = x^i * a
+        x_powers[0] = vals
+        for i in range(1, r):
+            x_powers[i] = times_x[x_powers[i - 1]]
 
+        eye = np.eye(r, dtype=np.int64)
+
+        def power(m, e):  # m^e for a stack of matrices over GF(p)
+            out = np.broadcast_to(eye, m.shape)
+            while e:
+                if e & 1:
+                    out = out @ m % p
+                m = m @ m % p
+                e >>= 1
+            return out
+
+        cofactors = [(q - 1) // t for t in _prime_factors(q - 1)]
         # below p lies the prime field, whose units have order < q - 1 when r > 1
-        for v in range(p if r > 1 else 1, q):
-            acc = np.zeros_like(digits)
-            for j, vj in enumerate(_decode(v, p, r)):
-                if vj:
-                    acc += vj * digits[x_powers[j]]
-            times_v = ((acc % p) @ powers).tolist()
-            orbit, cur = [1], times_v[1]
-            while cur != 1:
-                orbit.append(cur)
-                cur = times_v[cur]
-            if len(orbit) == q - 1:
-                self.generator = v
+        for start in range(p if r > 1 else 1, q, _GENERATOR_BATCH):
+            cands = vals[start : start + _GENERATOR_BATCH]
+            mats = digits[x_powers[:, cands]].transpose(1, 0, 2)  # [v, i] = x^i * v
+            primitive = np.ones(len(cands), dtype=bool)
+            for e in cofactors:
+                primitive &= (power(mats, e) != eye).any(axis=(1, 2))
+            if primitive.any():
+                winner = int(primitive.argmax())
+                self.generator = int(cands[winner])
                 break
         else:
             raise RuntimeError(f"no generator of the unit group of GF({q})")
+
+        times_v = ((digits @ mats[winner] % p) @ powers).tolist()
+        orbit, cur = [1], times_v[1]
+        while cur != 1:
+            orbit.append(cur)
+            cur = times_v[cur]
+        if len(orbit) != q - 1:
+            raise RuntimeError(f"GF({q}) generator {self.generator} has order {len(orbit)}")
 
         exp = np.array(orbit * 2, dtype=np.int64)
         log = np.full(q, -1, dtype=np.int64)
@@ -240,22 +263,36 @@ class FiniteField:
         inv[1:] = exp[(q - 1) - log[1:]]
         self._inv = inv
 
+    @cached_property
+    def digit_table(self) -> np.ndarray:
+        """Base-p digits of every encoding, shape (q, degree), lowest first."""
+        powers = self.p ** np.arange(self.degree, dtype=np.int64)
+        return (np.arange(self.order, dtype=np.int64)[:, None] // powers) % self.p
+
+    @cached_property
+    def _add2(self) -> np.ndarray | None:
+        """Dense q x q addition table, built on first use; None above the limit."""
+        q, p = self.order, self.p
         if q > _PAIR_TABLE_LIMIT:
-            self._add2 = None
-            self._mul2 = None
-            return
+            return None
         if p == 2:
-            enc = vals.astype(np.int16)
-            add = enc[:, None] ^ enc[None, :]
-        else:
-            add = np.zeros((q, q), dtype=np.int16)
-            for d, power in zip(digits.T.astype(np.int16), powers):
-                add += (d[:, None] + d[None, :]) % p * np.int16(power)
-        self._add2 = add
-        logs = log[1:].astype(np.int32)
+            enc = np.arange(q, dtype=np.int16)
+            return enc[:, None] ^ enc[None, :]
+        add = np.zeros((q, q), dtype=np.int16)
+        for j, d in enumerate(self.digit_table.T.astype(np.int16)):
+            add += (d[:, None] + d[None, :]) % p * np.int16(p**j)
+        return add
+
+    @cached_property
+    def _mul2(self) -> np.ndarray | None:
+        """Dense q x q multiplication table, built on first use; None above the limit."""
+        q = self.order
+        if q > _PAIR_TABLE_LIMIT:
+            return None
+        logs = self._log[1:].astype(np.int32)
         mul = np.zeros((q, q), dtype=np.int16)
-        mul[1:, 1:] = exp.astype(np.int16)[logs[:, None] + logs[None, :]]
-        self._mul2 = mul
+        mul[1:, 1:] = self._exp.astype(np.int16)[logs[:, None] + logs[None, :]]
+        return mul
 
     # -- scalar operations ----------------------------------------------
 

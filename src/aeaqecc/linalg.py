@@ -15,6 +15,8 @@ from .errors import FieldMismatchError
 from .fields import FiniteField
 
 _ENTRY_DTYPE = np.int16
+# Products gathered at once by mat_mul.
+_MAT_MUL_CHUNK = 1 << 18
 
 
 class MatrixGF:
@@ -116,14 +118,34 @@ def augment(a: MatrixGF, b: MatrixGF) -> MatrixGF:
 
 
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
+    """a @ b with every product a_il * b_lj gathered at once.
+
+    Each product enters the sum over l packed: its base-p digits sit in
+    bit fields of one int64, so one integer sum adds all digits of up to
+    `span` terms at once without a field overflowing into the next (at
+    least 31 terms for any field with pair tables).  Longer sums are cut
+    into runs of `span`, and rows are done in chunks so the gathered
+    products stay bounded.
+    """
     field = _same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    add, mul = field.add_table, field.mul_table
+    p, r, mul = field.p, field.degree, field.mul_table
+    width = 63 // r
+    shifts = width * np.arange(r, dtype=np.int64)
+    packed = (field.digit_table << shifts).sum(axis=1)
+    mask = (1 << width) - 1
+    span = mask // (p - 1)
+    powers = p ** np.arange(r, dtype=np.int64)
     ae, be = a.entries, b.entries
     out = np.zeros((a.rows, b.cols), dtype=_ENTRY_DTYPE)
-    for l in range(a.cols):
-        out = add[out, mul[ae[:, l, None], be[l]]]
+    step = max(1, _MAT_MUL_CHUNK // max(1, min(a.cols, span) * b.cols))
+    for i in range(0, a.rows, step):
+        digits = np.zeros((min(step, a.rows - i), b.cols, r), dtype=np.int64)
+        for l in range(0, a.cols, span):
+            prods = mul[ae[i : i + step, l : l + span, None], be[None, l : l + span]]
+            digits += (packed[prods].sum(axis=1)[..., None] >> shifts) & mask
+        out[i : i + step] = digits % p @ powers
     return MatrixGF(field, out)
 
 
@@ -151,6 +173,8 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
             break
         nz = np.nonzero(a[pr:, col])[0]
         if nz.size == 0:
+            if not a[pr:].any():  # only zero rows remain
+                break
             continue
         sel = pr + int(nz[0])
         if sel != pr:
@@ -172,23 +196,35 @@ def rank(m: MatrixGF) -> int:
     return rref(m)[1]
 
 
-def null_space(m: MatrixGF) -> MatrixGF:
+def null_space(m: MatrixGF, pivots: tuple[int, ...] | None = None) -> MatrixGF:
     """Basis (as rows) of the right kernel, not reduced: the identity
-    block at the free columns already makes the rows independent."""
-    field = m.field
-    r, rk, pivots = rref(m)
+    block at the free columns already makes the rows independent.
+
+    Given pivots, m must already be a canonical basis (echelon_basis) with
+    those pivot columns, and no elimination runs.
+    """
+    if pivots is None:
+        m, pivots = echelon_basis(m)
     ncols = m.cols
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = np.zeros((len(free), ncols), dtype=_ENTRY_DTYPE)
-    basis[range(len(free)), free] = 1
-    basis[:, list(pivots)] = field.neg_table[r.entries[:rk, free]].T
-    return MatrixGF(field, basis)
+    free = np.ones(ncols, dtype=bool)
+    free[list(pivots)] = False
+    free = np.flatnonzero(free)
+    basis = np.zeros((free.size, ncols), dtype=_ENTRY_DTYPE)
+    basis[np.arange(free.size), free] = 1
+    basis[:, list(pivots)] = m.field.neg_table[m.entries[:, free]].T
+    return MatrixGF(m.field, basis)
+
+
+def echelon_basis(m: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
+    """Canonical basis of the row space (nonzero rows of the rref) and its
+    pivot columns."""
+    r, rk, pivots = rref(m)
+    return MatrixGF(m.field, r.entries[:rk]), pivots
 
 
 def row_space(m: MatrixGF) -> MatrixGF:
-    """Canonical basis of the row space (nonzero rows of the rref)."""
-    r, rk, _ = rref(m)
-    return MatrixGF(m.field, r.entries[:rk])
+    """Canonical basis of the row space."""
+    return echelon_basis(m)[0]
 
 
 def row_space_sum(a: MatrixGF, b: MatrixGF) -> MatrixGF:

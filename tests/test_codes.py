@@ -22,11 +22,18 @@ from aeaqecc.codes import (
     symplectic_weight,
     write_code_file,
 )
-from aeaqecc import enumeration
+from aeaqecc import enumeration, linalg
 from aeaqecc.enumeration import minimum_weight_scan
 from aeaqecc.errors import BudgetExceededError, CodeFormatError, FieldMismatchError
 from aeaqecc.fields import field_create
-from aeaqecc.linalg import MatrixGF, mat_mul, row_space, row_space_intersect, stack
+from aeaqecc.linalg import (
+    MatrixGF,
+    mat_mul,
+    null_space,
+    row_space,
+    row_space_intersect,
+    stack,
+)
 
 
 def naive_min_weight(gen, field, member=None):
@@ -419,6 +426,29 @@ def test_dual_dimensions_and_involution():
             code = LinearCode.from_rows(field, rows, n=n)
             assert code.dual().k == n - code.k
             assert code.dual().dual() == code
+
+
+def test_parity_check_from_pivots_needs_no_elimination(monkeypatch):
+    rng = random.Random(24)
+    built = []
+    for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
+        field = field_create(p, r)
+        n = rng.randrange(3, 10)
+        built += [LinearCode.zero(field, n), LinearCode.full(field, n)]
+        for _ in range(8):
+            k = rng.randrange(0, n + 1)
+            rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
+            built.append(LinearCode.from_rows(field, rows, n=n))
+    calls = []
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", lambda m: calls.append(m) or original(m))
+    checks = [code.parity_check for code in built]
+    assert calls == []
+    monkeypatch.undo()
+    for code, h in zip(built, checks):
+        assert h.shape == (code.n - code.k, code.n)
+        assert row_space(h) == row_space(null_space(code.gen))
+        assert not mat_mul(code.gen, h.transpose()).entries.any()
 
 
 def test_intersection():

@@ -177,6 +177,72 @@ def test_identical_pair_scans_once(monkeypatch):
         asym_params(code, code, dz_floor=1, dx_floor=9)
 
 
+def _count_scans(monkeypatch):
+    scans = []
+
+    def spy(a, b, budget):
+        scans.append((a, b))
+        return codes.relative_min_weight(a, b, budget=budget)
+
+    monkeypatch.setattr(eaqecc, "relative_min_weight", spy)
+    return scans
+
+
+def _two_scan_reports(c1, c2):
+    return (codes.relative_min_weight(c1.dual(), c2),
+            codes.relative_min_weight(c2.dual(), c1))
+
+
+def test_mirrored_pair_scans_once(monkeypatch):
+    # C2 from the reciprocal coset {7, 11, 13, 14} of {1, 2, 4, 8} is C1
+    # read backwards, so dual(C2) \ C1 is dual(C1) \ C2 reversed
+    from aeaqecc.bch import coset_code
+
+    f2 = field_create(2)
+    c1, c2 = coset_code(15, 2, [1]), coset_code(15, 2, [7])
+    assert c1 != c2
+    assert c2 == LinearCode(f2, MatrixGF(f2, c1.gen.entries[:, ::-1]))
+    dz, dx = _two_scan_reports(c1, c2)
+    scans = _count_scans(monkeypatch)
+    once = asym_params(c1, c2, dz_floor=3, dx_floor=3)
+    assert len(scans) == 1
+    assert (once.dz, once.dx) == (dz, dx)
+    assert dz == WeightReport(value=3, exact=True, enumerated=2 ** 11 - 1)
+    assert asym_params(c1, c2) == once  # no floors: equal as well
+    assert len(scans) == 2
+    twice = asym_params(c1, c2, dz_floor=3, dx_floor=2)
+    assert len(scans) == 4
+    assert (twice.dz, twice.dx) == (dz, dx)
+    with pytest.raises(RuntimeError, match="dz bound 4 above exact value 3"):
+        asym_params(c1, c2, dz_floor=4, dx_floor=4)
+
+
+def test_equal_dimension_pair_that_is_not_mirrored_scans_twice(monkeypatch):
+    f4 = field_create(2, 2)
+    rng = random.Random(15)
+    c1, c2 = random_code(f4, 7, 3, rng), random_code(f4, 7, 3, rng)
+    rev = LinearCode(f4, MatrixGF(f4, c1.gen.entries[:, ::-1]))
+    assert c1.k == c2.k and c2 not in (c1, rev)
+    dz, dx = _two_scan_reports(c1, c2)
+    scans = _count_scans(monkeypatch)
+    params = asym_params(c1, c2, dz_floor=1, dx_floor=1)
+    assert len(scans) == 2
+    assert (params.dz, params.dx) == (dz, dx)
+
+
+def test_equal_floors_refused_together(monkeypatch):
+    # with k1 = k2 both scans need q^(n-k1) words, so a refused dz means a
+    # refused dx with the same floor, decided without a dual
+    f2 = field_create(2)
+    rng = random.Random(16)
+    c1, c2 = random_code(f2, 30, 15, rng), random_code(f2, 30, 15, rng)
+    scans = _count_scans(monkeypatch)
+    params = asym_params(c1, c2, budget=1 << 10, dz_floor=2, dx_floor=2)
+    assert scans == []
+    assert params.dz == params.dx == WeightReport(value=2, exact=False, enumerated=0)
+    assert "parity_check" not in vars(c1) and "parity_check" not in vars(c2)
+
+
 def test_symplectic_c_vanishes_on_equal_stacks():
     f2 = field_create(2)
     h = MatrixGF.from_rows(f2, [[1, 0, 1], [0, 1, 1]])

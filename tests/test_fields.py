@@ -1,6 +1,10 @@
 """Field construction, arithmetic tables, embeddings, traces."""
 
+import os
 import random
+import subprocess
+import sys
+import textwrap
 import tracemalloc
 
 import numpy as np
@@ -8,6 +12,7 @@ import pytest
 
 from aeaqecc.errors import FieldMismatchError
 from aeaqecc.fields import (
+    _PAIR_TABLE_LIMIT,
     FieldElement,
     FiniteField,
     default_modulus,
@@ -29,48 +34,61 @@ WORKLOAD_FIELDS = [
 ]
 
 
-def _scalar_tables(field):
-    """The field's tables built one element at a time, as an oracle.
-
-    Polynomial products are reduced by the modulus in plain Python; the
-    generator is the least v with v^((q-1)/t) != 1 for every prime t | q-1,
-    and exp is filled by repeated multiplication by it.  The pair tables
-    are built row by row from the digits and from exp/log.
-    """
-    p, r, q, mod = field.p, field.degree, field.order, list(field.modulus)
+def _scalar_mul(field, a, b):
+    """Polynomial product of two encodings, reduced by the modulus in plain Python."""
+    p, r, mod = field.p, field.degree, list(field.modulus)
 
     def decode(v):
         return [(v // p**i) % p for i in range(r)]
 
-    def mul_raw(a, b):
-        prod = [0] * (2 * r - 1)
-        for i, ai in enumerate(decode(a)):
-            for j, bj in enumerate(decode(b)):
-                prod[i + j] = (prod[i + j] + ai * bj) % p
-        for top in range(2 * r - 2, r - 1, -1):
-            lead = prod[top]
-            for i in range(r):
-                prod[top - r + i] = (prod[top - r + i] - lead * mod[i]) % p
-        return sum(c * p**i for i, c in enumerate(prod[:r]))
+    prod = [0] * (2 * r - 1)
+    for i, ai in enumerate(decode(a)):
+        for j, bj in enumerate(decode(b)):
+            prod[i + j] = (prod[i + j] + ai * bj) % p
+    for top in range(2 * r - 2, r - 1, -1):
+        lead = prod[top]
+        for i in range(r):
+            prod[top - r + i] = (prod[top - r + i] - lead * mod[i]) % p
+    return sum(c * p**i for i, c in enumerate(prod[:r]))
+
+
+def _scalar_generator(field):
+    """The least v with v^((q-1)/t) != 1 for every prime t | q-1."""
+    q = field.order
 
     def pow_raw(a, e):
         result = 1
         while e:
             if e & 1:
-                result = mul_raw(result, a)
-            a = mul_raw(a, a)
+                result = _scalar_mul(field, result, a)
+            a = _scalar_mul(field, a, a)
             e >>= 1
         return result
 
     factors = [t for t in range(2, q) if (q - 1) % t == 0 and all(t % d for d in range(2, t))]
-    gen = next(v for v in range(1, q) if all(pow_raw(v, (q - 1) // t) != 1 for t in factors))
+    return next(v for v in range(1, q) if all(pow_raw(v, (q - 1) // t) != 1 for t in factors))
+
+
+def _scalar_tables(field):
+    """The field's tables built one element at a time, as an oracle.
+
+    The generator comes from _scalar_generator, and exp is filled by
+    repeated multiplication by it.  The pair tables are built row by row
+    from the digits and from exp/log.
+    """
+    p, r, q = field.p, field.degree, field.order
+
+    def decode(v):
+        return [(v // p**i) % p for i in range(r)]
+
+    gen = _scalar_generator(field)
     exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
     log = np.full(q, -1, dtype=np.int64)
     cur = 1
     for i in range(q - 1):
         exp[i] = cur
         log[cur] = i
-        cur = mul_raw(cur, gen)
+        cur = _scalar_mul(field, cur, gen)
     exp[q - 1 :] = exp[: len(exp) - (q - 1)]
     digits = np.array([decode(v) for v in range(q)], dtype=np.int64).reshape(q, r)
     powers = p ** np.arange(r, dtype=np.int64)
@@ -229,6 +247,55 @@ def test_tables_match_scalar_oracle_for_other_moduli():
         field = FiniteField(p, len(modulus) - 1, modulus)
         assert field.modulus != default_modulus(p, field.degree)
         _assert_tables_match_oracle(field)
+
+
+def test_generator_search_matches_scalar_oracle_past_many_candidates():
+    # these generators lie several candidate batches past p; the build
+    # tests every candidate at once instead of walking each orbit
+    for p, r in [(7, 3), (3, 8), (19, 3), (71, 2), (37, 3), (3, 10), (239, 2)]:
+        field = field_create(p, r)
+        assert field.generator == _scalar_generator(field), field
+        assert field.generator - p >= 8
+        assert sorted(field._exp[: field.order - 1]) == list(range(1, field.order))
+
+
+def test_pair_tables_are_built_on_first_read():
+    for p, r in [(2, 4), (5, 2), (3, 3), (2, 11)]:
+        field = FiniteField(p, r)  # not the cached instance: nothing read yet
+        assert "_add2" not in vars(field) and "_mul2" not in vars(field)
+        _assert_tables_match_oracle(field)
+        assert "_add2" in vars(field) and "_mul2" in vars(field)
+
+
+def test_scalar_add_below_and_above_the_pair_table_limit():
+    rng = random.Random(21)
+    for p, r in [(2, 11), (3, 7), (2, 12), (5, 5)]:
+        field = field_create(p, r)
+        assert (field.order <= _PAIR_TABLE_LIMIT) == ((p, r) == (2, 11))
+        for _ in range(200):
+            a, b = rng.randrange(field.order), rng.randrange(field.order)
+            want = sum((a // p**i + b // p**i) % p * p**i for i in range(r))
+            assert field.add(a, b) == want
+        if field.order > _PAIR_TABLE_LIMIT:
+            with pytest.raises(ValueError, match="too large for dense pair tables"):
+                field.add_table
+
+
+def test_splitting_field_of_a_construction_builds_no_pair_tables():
+    # only the code field is reduced and multiplied by tables; the
+    # splitting field GF(2^10) of n = 33 is read through exp/log alone.
+    # A fresh interpreter, because other tests read the cached field's tables.
+    script = textwrap.dedent("""
+        from aeaqecc.bch import bch_asym_code, cyclotomic_cosets, splitting_field
+        from aeaqecc.fields import field_create
+        bch_asym_code(cyclotomic_cosets(33, 2), 0, 1)
+        for field in (splitting_field(33, 2), field_create(2, 1)):
+            print(field.order, sorted({"_add2", "_mul2"} & set(vars(field))))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["1024 []", "2 ['_add2', '_mul2']"]
 
 
 def test_build_memory_stays_small():

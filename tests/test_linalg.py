@@ -1,10 +1,13 @@
 """Row reduction, kernels, and intersections over several fields."""
 
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from aeaqecc import linalg
+from aeaqecc.bch import coset_code
 from aeaqecc.errors import FieldMismatchError
 from aeaqecc.fields import field_create
 from aeaqecc.linalg import (
@@ -39,6 +42,26 @@ def _naive_mat_mul(a, b):
                 acc = f.add(acc, f.mul(a.entry(i, l), b.entry(l, j)))
             out[i][j] = acc
     return MatrixGF.from_rows(f, out) if out else MatrixGF.zeros(f, 0, b.cols)
+
+
+def _rref_oracle(m):
+    """rref without the early stop: every column is visited."""
+    f = m.field
+    a = m.entries.astype(np.int64).copy()
+    pivots, pr = [], 0
+    for col in range(a.shape[1]):
+        rows = [i for i in range(pr, a.shape[0]) if a[i, col]]
+        if pr >= a.shape[0] or not rows:
+            continue
+        a[[pr, rows[0]]] = a[[rows[0], pr]]
+        a[pr] = f.mul_table[f.inv(int(a[pr, col]))][a[pr]]
+        for i in range(a.shape[0]):
+            if i != pr and a[i, col]:
+                coef = f.neg(int(a[i, col]))
+                a[i] = f.add_table[a[i], f.mul_table[coef][a[pr]]]
+        pivots.append(col)
+        pr += 1
+    return MatrixGF(f, a), pr, tuple(pivots)
 
 
 def _in_row_space(v, m):
@@ -127,6 +150,57 @@ def test_mat_mul_matches_naive():
             assert mat_mul(a, b) == _naive_mat_mul(a, b)
 
 
+MAT_MUL_FIELDS = [(2, 1), (3, 1), (2, 2), (2, 3), (3, 2), (5, 2), (3, 3), (2, 5), (2, 6)]
+
+
+@pytest.mark.parametrize("p,deg", MAT_MUL_FIELDS)
+def test_mat_mul_matches_naive_on_every_shape(p, deg):
+    F = field_create(p, deg)
+    gen = np.random.default_rng(100 * p + deg)
+    shapes = [(0, 3, 2), (3, 0, 2), (3, 2, 0), (0, 0, 0), (1, 1, 1), (2, 70, 3)]
+    shapes += [tuple(gen.integers(1, 8, 3)) for _ in range(25)]
+    for rows, inner, cols in shapes:
+        a = MatrixGF(F, gen.integers(0, F.order, (rows, inner)))
+        b = MatrixGF(F, gen.integers(0, F.order, (inner, cols)))
+        assert mat_mul(a, b) == _naive_mat_mul(a, b), (rows, inner, cols)
+
+
+def test_mat_mul_sums_long_inner_dimensions_in_chunks():
+    # GF(2^11) packs 11 digits of 5 bits each into an int64, so at most
+    # 31 products are summed before the digits are taken out
+    F = field_create(2, 11)
+    gen = np.random.default_rng(3)
+    for inner in (30, 31, 32, 95):
+        a = MatrixGF(F, gen.integers(0, F.order, (3, inner)))
+        b = MatrixGF(F, gen.integers(0, F.order, (inner, 2)))
+        assert mat_mul(a, b) == _naive_mat_mul(a, b), inner
+    # a sum of 32 ones would overflow its 5-bit field into digit 1 (x)
+    ones = MatrixGF(F, np.ones((1, 32), dtype=np.int16))
+    assert mat_mul(ones, ones.transpose()).entries.tolist() == [[0]]
+
+
+def test_mat_mul_memory_is_bounded_by_row_chunks():
+    # gathering all 200 x 255 x 200 products at once would take 78 MiB of
+    # packed digits alone
+    F = field_create(2, 4)
+    gen = np.random.default_rng(4)
+    a = MatrixGF(F, gen.integers(0, 16, (200, 255)))
+    b = MatrixGF(F, gen.integers(0, 16, (255, 200)))
+    mat_mul(MatrixGF(F, a.entries[:1]), b)  # tables built outside the trace
+    tracemalloc.start()
+    try:
+        prod = mat_mul(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20, peak / 2**20
+    for i, j in [(0, 0), (199, 199), (17, 123), (150, 3)]:
+        acc = 0
+        for l in range(255):
+            acc = F.add(acc, F.mul(a.entry(i, l), b.entry(l, j)))
+        assert prod.entry(i, j) == acc
+
+
 def test_mat_vec_matches_mat_mul():
     rng = random.Random(10)
     F = field_create(2, 2)
@@ -135,6 +209,34 @@ def test_mat_vec_matches_mat_mul():
         v = np.array([rng.randrange(4) for _ in range(a.cols)], dtype=np.int16)
         col = MatrixGF(F, v[:, None])
         assert mat_vec(a, v).tolist() == _naive_mat_mul(a, col).entries[:, 0].tolist()
+
+
+def test_rref_early_stop_matches_full_sweep_on_tall_matrices(monkeypatch):
+    # subfield_subcode reduces traces of m * |reps| rows that span fewer
+    # dimensions; rref stops once the rows below the last pivot are zero
+    tall = []
+
+    def spy(m):
+        tall.append(m)
+        return original(m)
+
+    original = linalg.rref
+    monkeypatch.setattr(linalg, "rref", spy)
+    for n, q, labels in [(15, 2, [0, 5]), (21, 4, [0, 7]), (13, 3, [0, 1]), (31, 2, [0, 5]),
+                         (24, 5, [0, 6])]:
+        coset_code(n, q, labels)
+    monkeypatch.undo()
+    assert sum(rref(m)[1] < m.rows for m in tall) == 5  # one per trace matrix
+    rng = random.Random(14)
+    for p, deg in FIELDS:
+        F = field_create(p, deg)
+        for _ in range(20):
+            base = _random_matrix(F, rng, rng.randrange(1, 4), rng.randrange(4, 9))
+            mix = _random_matrix(F, rng, rng.randrange(5, 12), base.rows)
+            tall.append(stack(mat_mul(mix, base), MatrixGF.zeros(F, 2, base.cols)))
+    assert any(rref(m)[1] < m.rows for m in tall)
+    for m in tall:
+        assert rref(m) == _rref_oracle(m)
 
 
 def test_intersection_dimension_formula():

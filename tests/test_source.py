@@ -1,6 +1,7 @@
 """Checks on the package source itself."""
 
 import ast
+import importlib
 import types
 from pathlib import Path
 
@@ -35,3 +36,14 @@ def test_bench_tracer_targets_exist():
         if attr not in vars(owner)
     ]
     assert missing == []
+
+
+def test_only_linalg_binds_rref():
+    # bench/tracer.py counts eliminations by wrapping linalg.rref; a module
+    # that imported the name would call the original and go uncounted
+    names = ["aeaqecc"] + [
+        f"aeaqecc.{path.stem}"
+        for path in sorted(Path(aeaqecc.__file__).parent.glob("*.py"))
+        if path.stem not in ("__init__", "linalg")
+    ]
+    assert [m for m in names if "rref" in vars(importlib.import_module(m))] == []
