@@ -242,6 +242,8 @@ def hartmann_tzeng_bound(n: int, defining_set: Iterable[int]) -> int:
     best pattern; it is still a floor.  The empty set gives 1; the full
     set (a code with only the zero word) gives n + 1.
     """
+    if n < 1:
+        raise ValueError("n must be positive")
     return _ht_bound(n, tuple(sorted({x % n for x in defining_set})))
 
 
@@ -254,7 +256,7 @@ def _ht_bound(n: int, t_sorted: tuple[int, ...]) -> int:
     return _ht_search(n, frozenset(t_sorted))
 
 
-# (step, position) cells handled at once by _best_windows
+# (step, position) cells of T's run table held at once
 _HT_BLOCK = 1 << 16
 
 
@@ -264,50 +266,69 @@ def _ht_search(n: int, t_set: frozenset) -> int:
     Units v with vT = T form a group, which contains q when T is a union
     of q-cyclotomic cosets.  For such v the unit u*v scans u*v*T = u*T,
     the very set u scans, so one unit per coset u*Stab(T) is enough.
-    Each unit scans all steps m at once, in blocks of _HT_BLOCK cells.
+
+    Every unit reads its runs off T's own: x + j*u*m lies in uT exactly
+    when u^-1*x + j*m lies in T, and gcd(u*m, n) = gcd(m, n), so the run
+    of uT at step u*m and position x is the run of T at step m and
+    position u^-1*x.  T's runs are built once per block of _HT_BLOCK
+    cells, and each unit applies the window rule to that block's columns
+    gathered in the order u^-1*x.
     """
     best = 2  # any root rules out weight-1 words
     units = [u for u in range(1, n) if gcd(u, n) == 1]
     stabilizer = [v for v in units if all((v * x) % n in t_set for x in t_set)]
     covered = bytearray(n)
-    rows = max(1, _HT_BLOCK // n)
+    gathers = []
     for u in units:
         if covered[u]:
             continue
         for v in stabilizer:
             covered[(u * v) % n] = 1
-        member = np.zeros(n, dtype=bool)
-        member[[(u * x) % n for x in t_set]] = True
-        for first in range(1, n, rows):
-            steps = np.arange(first, min(first + rows, n))[:, None]
-            best = max(best, _best_windows(member, steps))
+        gathers.append((pow(u, -1, n) * np.arange(n)) % n)
+    member = np.zeros(n, dtype=bool)
+    member[list(t_set)] = True
+    rows = max(1, _HT_BLOCK // n)
+    for first in range(1, n, rows):
+        steps = np.arange(first, min(first + rows, n))[:, None]
+        run = _runs(member, steps)
+        g = np.gcd(steps, n)
+        for gather in gathers:
+            best = max(best, _best_windows(run[:, gather], g))
     return best
 
 
-def _best_windows(member: np.ndarray, steps: np.ndarray) -> int:
-    """Best credited window of the set ``member`` over a column of steps m.
+def _runs(member: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """run[m, x] for the set ``member`` over a column of steps m.
 
     run[m, x] counts the members x, x+m, x+2m, ... before the first
-    non-member, or the whole orbit of x when it holds no non-member.  A
-    window of consecutive positions ending at i whose runs are all at
-    least run[m, i] is credited run[m, i] + its width, provided the width
-    reaches gcd(m, n): it holds the pattern {b + i' + j*m : i' < width,
-    j < run[m, i]}.  Only windows whose smallest run sits at their right
-    end are credited.  A non-member always exists and acts as a wall.
+    non-member, or the whole orbit of x when it holds no non-member.
     """
     n = member.size
-    x = np.arange(n)
-    g = np.gcd(steps, n)
-    period = n // g
+    period = n // np.gcd(steps, n)
     alive = np.broadcast_to(member, (len(steps), n))
     run = alive.astype(np.int64)
-    at = x
+    at = np.arange(n)
     for j in range(1, n):
         at = (at + steps) % n
         alive = alive & member[at] & (j < period)  # a full orbit is capped
         if not alive.any():
             break
         run += alive
+    return run
+
+
+def _best_windows(run: np.ndarray, g: np.ndarray) -> int:
+    """Best credited window over rows of runs, row m with g = gcd(m, n).
+
+    A window of consecutive positions ending at i whose runs are all at
+    least run[m, i] is credited run[m, i] + its width, provided the width
+    reaches g: it holds the pattern {b + i' + j*m : i' < width,
+    j < run[m, i]}.  Only windows whose smallest run sits at their right
+    end are credited.  Every row holds a zero run (a non-member), which
+    acts as a wall.
+    """
+    n = run.shape[1]
+    x = np.arange(n)
     credited = run > 0
     inside = credited
     width = inside.astype(np.int64)

@@ -271,6 +271,22 @@ def test_hartmann_tzeng_consecutive():
     assert hartmann_tzeng_bound(7, range(7)) == 8
 
 
+@pytest.mark.parametrize("n, defining_set", [(0, [1]), (-5, [1]), (0, [])])
+def test_hartmann_tzeng_rejects_nonpositive_length(n, defining_set):
+    with pytest.raises(ValueError, match="n must be positive"):
+        hartmann_tzeng_bound(n, defining_set)
+
+
+def test_hartmann_tzeng_window_rule_pinned():
+    # A window is credited only through the run at its right end, so this
+    # q = 16 set gets 5 although u = 11, step 9, base 11 holds a width-4,
+    # two-row pattern worth 6.  The value moves to 6 only through the named
+    # spec change that credits a window's minimum run wherever it sits.
+    t_set = [1, 2, 5, 12, 14, 15, 16, 19, 20, 25, 28, 29, 32, 36, 39, 40, 43, 49]
+    assert cyclotomic_cosets(51, 16).closure(t_set) == tuple(t_set)
+    assert hartmann_tzeng_bound(51, t_set) == 5
+
+
 def test_hartmann_tzeng_published_sets():
     s15 = cyclotomic_cosets(15, 2)
     assert hartmann_tzeng_bound(15, s15.closure([0, 1, 3, 5])) == 8
@@ -406,6 +422,29 @@ def test_ht_search_in_several_step_blocks(monkeypatch):
     for n, q, labels in [(31, 2, [1, 5]), (26, 3, [1, 2, 13]), (45, 2, [1, 3, 7])]:
         t_set = frozenset(cyclotomic_cosets(n, q).closure(labels))
         assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), (n, q, labels)
+
+
+def _unit_cosets(n, t_set):
+    stab = _stabilizer(n, t_set)
+    units = {u for u in range(1, n) if gcd(u, n) == 1}
+    return {frozenset((u * v) % n for v in stab) for u in units}
+
+
+@pytest.mark.parametrize("n, q, labels", [(51, 16, [1, 5, 7]), (51, 16, [3, 11]),
+                                         (85, 2, [1, 3, 9]), (85, 2, [5, 13])])
+@pytest.mark.parametrize("block", [None, 1])
+def test_ht_search_builds_runs_once_per_step_block(monkeypatch, n, q, labels, block):
+    # block 1 holds a single step per block
+    if block is not None:
+        monkeypatch.setattr(bch, "_HT_BLOCK", block)
+    t_set = frozenset(cyclotomic_cosets(n, q).closure(labels))
+    assert len(_unit_cosets(n, t_set)) >= 8
+    calls = []
+    runs = bch._runs
+    monkeypatch.setattr(bch, "_runs", lambda *args: calls.append(1) or runs(*args))
+    assert _ht_search(n, t_set) == _reference_ht_search(n, t_set)
+    rows = max(1, bch._HT_BLOCK // n)
+    assert len(calls) == len(range(1, n, rows))
 
 
 def test_ht_search_with_stabilizer_beyond_q():
