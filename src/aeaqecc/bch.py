@@ -276,7 +276,11 @@ def _ht_search(n: int, t_set: frozenset) -> int:
     """
     best = 2  # any root rules out weight-1 words
     units = [u for u in range(1, n) if gcd(u, n) == 1]
-    stabilizer = [v for v in units if all((v * x) % n in t_set for x in t_set)]
+    member = np.zeros(n, dtype=bool)
+    member[list(t_set)] = True
+    unit_arr = np.array(units, dtype=np.int64)
+    images = (unit_arr[:, None] * np.flatnonzero(member)[None, :]) % n  # v * T
+    stabilizer = unit_arr[member[images].all(1)].tolist()
     covered = bytearray(n)
     gathers = []
     for u in units:
@@ -285,8 +289,6 @@ def _ht_search(n: int, t_set: frozenset) -> int:
         for v in stabilizer:
             covered[(u * v) % n] = 1
         gathers.append((pow(u, -1, n) * np.arange(n)) % n)
-    member = np.zeros(n, dtype=bool)
-    member[list(t_set)] = True
     rows = max(1, _HT_BLOCK // n)
     for first in range(1, n, rows):
         steps = np.arange(first, min(first + rows, n))[:, None]

@@ -3,9 +3,12 @@
 A code is stored by the reduced row echelon form of its generator matrix,
 so two codes are equal exactly when they describe the same row space.
 Every intersection comes from LinearCode.intersect, which eliminates
-on a pairing matrix no wider than n.  Minimum and relative minimum
-weights come from exhaustive enumeration of the codeword set, guarded by
-an explicit visit budget.
+on a pairing matrix no wider than n.  Minimum weights come from an
+exhaustive scan of the codeword set.  A relative minimum weight of two
+cyclic codes comes from the window search instead (enumeration module
+docstring), which certifies the minimum from the cyclic information
+windows without a scan; any other pair is scanned.  Both are guarded by
+an explicit budget on q^k, and both report q^k - 1 words covered.
 """
 
 from __future__ import annotations
@@ -96,10 +99,18 @@ class LinearCode:
         """
         return null_space(self.gen, self.pivots)
 
+    @cached_property
+    def is_cyclic(self) -> bool:
+        """Closed under the cyclic shift: H·shift(G)ᵀ = 0, one product."""
+        shifted = MatrixGF(self.field, np.roll(self.gen.entries, 1, axis=1))
+        return not mat_mul(self.parity_check, shifted.transpose()).entries.any()
+
     def dual(self) -> "LinearCode":
-        """The dual code; its parity check is this code's generator."""
+        """The dual code; its parity check is this code's generator, and it
+        is cyclic exactly when this code is."""
         code = LinearCode(self.field, self.parity_check)
         code.parity_check = self.gen
+        code.is_cyclic = self.is_cyclic
         return code
 
     def contains(self, vec: Sequence[int]) -> bool:
@@ -167,6 +178,42 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
 
     This is the minimum over a \\ (a intersect b); the empty marker is
     returned when a is contained in b (decided without enumeration).
+    Raises BudgetExceededError when q^k_a > budget.
+
+    When a and b are both cyclic (closed under the cyclic shift, one
+    product each), no word is scanned.  a's reduced generator is then
+    [I_k | P], the window search walks a's messages of weight t = 1, 2,
+    ... one per scalar class, and each candidate lighter than the best so
+    far gets one syndrome test against b.  Every shift of a word of
+    a \\ b is in a \\ b with the same weight, so after level t an unseen
+    one has more than t nonzeros on each of the n cyclic windows of k
+    positions, which cover each position k times: it weighs at least
+    ceil((t + 1) n / k), and the search stops once the best found is no
+    larger (enumeration module docstring).  Any other pair is scanned
+    (_scan_relative_min_weight).  Either way the report counts the
+    q^k_a - 1 words covered: the search settles each word of a, by a
+    visit up to a scalar and a shift or by the bound, as the scan does
+    by visiting one word per scalar class.
+    """
+    _check_pair(a, b)
+    if not (a.is_cyclic and b.is_cyclic):
+        return _scan_relative_min_weight(a, b, budget)
+    # column i is the syndrome of a's row i against b
+    syndromes = mat_mul(b.parity_check, a.gen.transpose()).entries
+    if not syndromes.any():
+        return WeightReport(value=None, exact=True, enumerated=0)
+    if a.pivots != tuple(range(a.k)):
+        raise RuntimeError("a cyclic code must be systematic on its first k positions")
+    value, visited = minimum_weight_scan(
+        a.gen.entries, a.field, syndromes=syndromes.T, budget=budget
+    )
+    if value is None:
+        raise RuntimeError("a non-subcode must have a word outside b")
+    return WeightReport(value=value, exact=True, enumerated=visited)
+
+
+def _scan_relative_min_weight(a: LinearCode, b: LinearCode, budget: int) -> WeightReport:
+    """relative_min_weight by a scan of every scalar class of a.
 
     The scan runs over the basis [I; R] of a: I is the reduced basis of
     a.intersect(b), and R the rows of a's reduced generator whose pivot

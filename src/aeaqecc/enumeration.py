@@ -1,4 +1,5 @@
-"""Blockwise exhaustive enumeration of linear-code codewords.
+"""Minimum weights of linear codes: a blockwise exhaustive scan, and a
+window search that needs no scan for cyclic codes.
 
 The message space GF(q)^k is split in two: the low digits are expanded
 once into a table holding every codeword of the low sub-space, and the
@@ -32,9 +33,31 @@ the high indices that are 0 or whose top nonzero base-q digit is 1, about
 q^k/(q - 1) + q^k_lo words in all, and over GF(2) every word.  skip stays
 exact, as the span of the first s rows is closed under scalars.  The
 budget and the returned count are still q^k, the words covered.
+
+A cyclic code needs no scan (Brouwer-Zimmermann with the n overlapping
+cyclic information sets; Grassl 2006).  Given syndromes, gen is the
+reduced generator [I_k | P] of a cyclic code A and row i's syndrome
+against a cyclic code B is syndromes[i]; the minimum is over A \\ B.
+Every k consecutive positions (mod n) of A are an information set, and
+the shifts of [I_k | P] are the systematic generators on them.  The
+search walks the messages of weight t = 1, 2, ... on positions 0..k-1,
+one per scalar class, in batches capped like the scan's blocks, and a
+word lighter than the best so far counts when its syndrome, the same
+combination of the rows' syndromes, is nonzero.  Shifts keep weights
+and membership in B, so after level t every word of A \\ B with at most
+t nonzeros on some window has been matched by a visited one; any other
+has at least t + 1 on each of the n windows, which cover every position
+k times, so it weighs at least ceil((t + 1) n / k).  Once the best found
+is no larger, it is the minimum.  Level 1 finds a word of A \\ B if
+there is one (some row lies outside B), and at t = k - 1 the bound is
+n, so the walk ends by level max(1, k - 1).  The budget and the returned
+count are q^k as for a scan: each word is matched or bounded, so all
+q^k are covered.
 """
 
 from __future__ import annotations
+
+from itertools import combinations, islice
 
 import numpy as np
 
@@ -68,6 +91,7 @@ def minimum_weight_scan(
     field: FiniteField,
     *,
     skip: int = 0,
+    syndromes: np.ndarray | None = None,
     budget: int = DEFAULT_BUDGET,
 ) -> tuple[int | None, int]:
     """Minimum Hamming weight over the row space of gen outside the span
@@ -77,6 +101,11 @@ def minimum_weight_scan(
         gen: (k, n) array of encoded entries with linearly independent rows.
         field: the entries' field.
         skip: number of leading rows whose span is excluded, 0..k.
+        syndromes: (k, m) array, row i the syndrome of gen[i] against a
+            cyclic code B.  Given it, gen must be the reduced generator
+            [I_k | P] of a cyclic code, skip is ignored, and the minimum
+            runs over the words of nonzero syndrome, found by the window
+            search instead of a scan (module docstring).
         budget: cap on q^k, the number of codewords covered.
 
     Returns:
@@ -92,6 +121,11 @@ def minimum_weight_scan(
     total = check_budget(field.order, k, budget)
     if k == 0 or n == 0:
         return None, max(total - 1, 0)
+    if syndromes is not None:
+        syndromes = np.asarray(syndromes, dtype=np.int64)
+        if syndromes.ndim != 2 or syndromes.shape[0] != k:
+            raise ValueError("syndromes need one row per generator row")
+        return _windows(gen, syndromes, field, total)
     return _scan(gen, field, field.order**skip, total)
 
 
@@ -108,7 +142,7 @@ def _pick_k_lo(q: int, k: int, bytes_per_row: int) -> int:
 
 def _repeat(value: int, step: int, count: int) -> np.uint64:
     """value copied into count fields of step bits each."""
-    return np.uint64(sum(value << (step * j) for j in range(count)))
+    return np.uint64(value * (((1 << (step * count)) - 1) // ((1 << step) - 1)))
 
 
 class _Lanes:
@@ -237,4 +271,67 @@ def _scan(gen, field, skipped, total):
             best = min(best, int(wts.min()))
             if best == 1:
                 return best, total - 1
+    return (None if best == _BIG else best), total - 1
+
+
+def _messages(k: int, t: int, q: int, cap: int):
+    """Messages of weight t over k digits, one per scalar class, in
+    batches (supports (s, t), coefficients (c, t)) of s * c <= cap words.
+
+    Each support is a sorted t-subset of range(k); each coefficient row
+    starts with 1.
+    """
+    per_support = (q - 1) ** (t - 1)
+    powers = (q - 1) ** np.arange(t - 1)
+    supports = combinations(range(k), t)
+    step = max(1, cap // per_support)
+    while True:
+        sup = np.fromiter(
+            (i for s in islice(supports, step) for i in s), dtype=np.intp
+        ).reshape(-1, t)
+        if not sup.size:
+            return
+        for first in range(0, per_support, cap):
+            index = np.arange(first, min(first + cap, per_support))
+            coef = np.ones((index.size, t), dtype=np.intp)
+            coef[:, 1:] += (index[:, None] // powers) % (q - 1)
+            yield sup, coef
+
+
+def _combine(table: np.ndarray, sup: np.ndarray, coef: np.ndarray, add) -> np.ndarray:
+    """Word-major sums sum_j table[coef[..., j], sup[..., j]] over the
+    broadcast of sup and coef."""
+    words = table[coef[..., 0], sup[..., 0]]
+    for j in range(1, sup.shape[-1]):
+        words = add(words, table[coef[..., j], sup[..., j]])
+    return np.ascontiguousarray(words.reshape(-1, table.shape[-1]).T)
+
+
+def _windows(gen, syndromes, field, total):
+    """Minimum weight over the words of nonzero syndrome (module docstring)."""
+    q = field.order
+    k, n = gen.shape
+    lanes = _Lanes(field, n)
+    syn_lanes = _Lanes(field, syndromes.shape[1])
+    rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
+    synmul = syn_lanes.pack(field.mul_table[:, syndromes])
+    cap = max(1, min(_BLOCK_TARGET, _BLOCK_BYTES // (8 * lanes.nwords)))
+
+    best = _BIG
+    for t in range(1, k + 1):
+        for sup, coef in _messages(k, t, q, cap):
+            words = _combine(rowmul, sup[:, None], coef[None], lanes.add)
+            wts = np.empty(words.shape[1], dtype=np.int32)
+            counts = np.empty(words.shape[1], dtype=np.uint8)
+            lanes.weights(words, wts, np.empty_like(words), counts)
+            lighter = np.flatnonzero(wts < best)
+            if not lighter.size:
+                continue
+            s, c = np.divmod(lighter, coef.shape[0])
+            # a syndrome is zero exactly when all its packed words are
+            outside = _combine(synmul, sup[s], coef[c], syn_lanes.add).any(axis=0)
+            if outside.any():
+                best = min(best, int(wts[lighter[outside]].min()))
+        if best <= -(-(t + 1) * n // k):
+            break
     return (None if best == _BIG else best), total - 1

@@ -14,7 +14,7 @@ import numpy as np
 from .errors import FieldMismatchError
 from .fields import FiniteField
 
-_ENTRY_DTYPE = np.int16
+_ENTRY_DTYPE = np.int32
 # Products gathered at once by mat_mul.
 _MAT_MUL_CHUNK = 1 << 18
 
@@ -125,12 +125,16 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     `span` terms at once without a field overflowing into the next (at
     least 31 terms for any field with pair tables).  Longer sums are cut
     into runs of `span`, and rows are done in chunks so the gathered
-    products stay bounded.
+    products stay bounded.  Over a prime field the product is one integer
+    matrix product taken mod p.
     """
     field = _same_field(a, b)
     if a.cols != b.rows:
         raise ValueError(f"inner dimension mismatch: {a.cols} vs {b.rows}")
-    p, r, mul = field.p, field.degree, field.mul_table
+    p, r = field.p, field.degree
+    if r == 1 and a.cols * (p - 1) ** 2 < 1 << 63:  # integer sums cannot wrap
+        return MatrixGF(field, (a.entries.astype(np.int64) @ b.entries) % p)
+    mul = field.mul_table
     width = 63 // r
     shifts = width * np.arange(r, dtype=np.int64)
     packed = (field.digit_table << shifts).sum(axis=1)

@@ -210,6 +210,14 @@ def test_bch_construct_over_gf2048(capsys):
     assert doc["dx"]["exact"] and doc["dx"]["value"] == 2
 
 
+def test_bch_construct_over_gf65536(capsys):
+    # n = 257 splits over GF(2^16), whose elements reach 65535
+    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "257",
+                         "--labels1", "1", "--labels2", "3", "--budget", "1024")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "[[257, 225, >=5/>=5; 0]]_2"
+
+
 def test_bch_construct_usage_errors(capsys):
     code, _, err = run(capsys, "bch-construct", "--q", "2", "--n", "15")
     assert code == 2 and "either" in err

@@ -140,6 +140,17 @@ def test_double_null_space_recovers_row_space():
             assert row_space(null_space(null_space(m))) == row_space(m)
 
 
+def test_entries_of_the_widest_field_round_trip():
+    # GF(2^16) holds 65535, above any 16-bit signed entry
+    F = field_create(2, 16)
+    m = MatrixGF.from_rows(F, [[65535, 0], [1, 32768]])
+    assert m.entry(0, 0) == 65535 and m.row(1) == (1, 32768)
+    assert m.transpose().row(0) == (65535, 1)
+    assert MatrixGF(F, m.entries) == m
+    with pytest.raises(ValueError, match="outside"):
+        MatrixGF(F, [[65536]])
+
+
 def test_mat_mul_matches_naive():
     rng = random.Random(9)
     for p, deg in FIELDS:

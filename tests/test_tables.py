@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from aeaqecc import enumeration
 from aeaqecc.bch import coset_code
+from aeaqecc.cli import main
 from aeaqecc.eaqecc import entanglement_c
 from aeaqecc.gv import GvQuery, gv_finite_sum, gv_threshold
 from aeaqecc.linalg import row_space_intersect
@@ -203,3 +205,15 @@ def test_cells_reject_commas():
     assert _cells((1, ">=5", "true")) == "1,>=5,true"
     with pytest.raises(RuntimeError):
         _cells(("a,b",))
+
+
+def test_tables_never_run_the_full_scan(capsys, monkeypatch):
+    # every table pair is cyclic, so each exact cell comes from the
+    # window search; the full-space scan kernel is never entered
+    def forbidden(*args):
+        raise AssertionError("tables entered the full-space scan")
+
+    monkeypatch.setattr(enumeration, "_scan", forbidden)
+    assert main(["tables", "--which", "all", "--format", "csv"]) == 0
+    out = capsys.readouterr().out
+    assert out.splitlines() == golden_lines(1) + golden_lines(2)
