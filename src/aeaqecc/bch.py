@@ -117,16 +117,13 @@ def reciprocal_rep(structure: CosetStructure, a: int) -> int:
 
 @lru_cache(maxsize=None)
 def splitting_field(n: int, q: int) -> FiniteField:
-    """The smallest field containing GF(q) whose units have order n."""
+    """The smallest field containing GF(q) whose units have order n.
+
+    That is GF(q^m) for m = ord_n(q), the size of the coset {1, q, q^2,
+    ...} mod n; for n = 1 it is the coset {0}, of size 1.
+    """
     p, r = prime_power_decomposition(q)
-    if gcd(n, q) != 1:
-        raise ValueError(f"n={n} and q={q} must be coprime")
-    order = 1
-    power = q % n
-    while power != 1:
-        power = (power * q) % n
-        order += 1
-    return field_create(p, r * order)
+    return field_create(p, r * cyclotomic_cosets(n, q).size_of(1))
 
 
 class EvaluationCode:

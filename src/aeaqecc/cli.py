@@ -309,9 +309,9 @@ def _cmd_enlarge_demo(args) -> int:
     budget = _resolve_budget(args.budget)
     try:
         p, r = prime_power_decomposition(args.q)
+        field = field_create(p, r)
     except ValueError as e:
         raise _CliError(EXIT_USAGE, str(e))
-    field = field_create(p, r)
     try:
         before, after = enlargement_demo(field, budget)
     except BudgetExceededError as e:

@@ -2,13 +2,14 @@
 
 A code is stored by the reduced row echelon form of its generator matrix,
 so two codes are equal exactly when they describe the same row space.
-Every intersection comes from LinearCode.intersect, which eliminates
-on a pairing matrix no wider than n.  Minimum weights come from an
-exhaustive scan of the codeword set.  A relative minimum weight of two
-cyclic codes comes from the window search instead (enumeration module
-docstring), which certifies the minimum from the cyclic information
-windows without a scan; any other pair is scanned.  Both are guarded by
-an explicit budget on q^k, and both report q^k - 1 words covered.
+Minimum weights come from an exhaustive scan of the codeword set.  A
+relative minimum weight of a and b starts from one product, the
+syndromes S = H_b·G_aᵀ of a's rows against b: S = 0 says a lies in b.
+For two cyclic codes the window search then certifies the minimum from
+the cyclic information windows without a scan (enumeration module
+docstring); any other pair is scanned, with a ∩ b read off the kernel
+of S.  Both are guarded by an explicit budget on q^k, and both report
+q^k - 1 words covered.
 """
 
 from __future__ import annotations
@@ -128,16 +129,6 @@ class LinearCode:
             return False
         return rank(stack(other.gen, self.gen)) == other.k
 
-    def intersect(self, other: "LinearCode") -> "LinearCode":
-        """The words m·G of other with H·(m·G)ᵀ = 0, H = self.parity_check.
-
-        m spans the right kernel of the pairing H·Gᵀ; for dual(C1) ∩ C2
-        that is G1·G2ᵀ, of rank c, so the result has dimension k2 - c.
-        """
-        _check_pair(self, other)
-        pairing = mat_mul(self.parity_check, other.gen.transpose())
-        return LinearCode(self.field, mat_mul(null_space(pairing), other.gen))
-
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, LinearCode):
             return NotImplemented
@@ -148,15 +139,6 @@ class LinearCode:
 
     def __repr__(self) -> str:
         return f"[{self.n},{self.k}] code over GF({self.field.designator})"
-
-
-def symplectic_weight(vec: Sequence[int]) -> int:
-    """Number of positions i with (a_i, b_i) != (0, 0) for vec = (a | b)."""
-    v = np.asarray(vec, dtype=np.int64)
-    if v.ndim != 1 or v.size % 2 != 0:
-        raise ValueError("symplectic weight needs a flat (a | b) vector of even length")
-    half = v.size // 2
-    return int((v[:half] | v[half:]).astype(bool).sum())
 
 
 def min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
@@ -177,8 +159,9 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
     """Minimum weight of codewords of a outside the intersection with b.
 
     This is the minimum over a \\ (a intersect b); the empty marker is
-    returned when a is contained in b (decided without enumeration).
-    Raises BudgetExceededError when q^k_a > budget.
+    returned when a is contained in b, decided by S = H_b·G_aᵀ = 0 before
+    any budget check or enumeration.  Raises BudgetExceededError when
+    q^k_a > budget.
 
     When a and b are both cyclic (closed under the cyclic shift, one
     product each), no word is scanned.  a's reduced generator is then
@@ -189,50 +172,51 @@ def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDG
     one has more than t nonzeros on each of the n cyclic windows of k
     positions, which cover each position k times: it weighs at least
     ceil((t + 1) n / k), and the search stops once the best found is no
-    larger (enumeration module docstring).  Any other pair is scanned
-    (_scan_relative_min_weight).  Either way the report counts the
-    q^k_a - 1 words covered: the search settles each word of a, by a
-    visit up to a scalar and a shift or by the bound, as the scan does
-    by visiting one word per scalar class.
+    larger (enumeration module docstring).  Any other pair is scanned,
+    with a ∩ b read off the kernel of S (_scan_relative_min_weight).
+    Either way the report counts the q^k_a - 1 words covered: the search
+    settles each word of a, by a visit up to a scalar and a shift or by
+    the bound, as the scan does by visiting one word per scalar class.
     """
     _check_pair(a, b)
-    if not (a.is_cyclic and b.is_cyclic):
-        return _scan_relative_min_weight(a, b, budget)
     # column i is the syndrome of a's row i against b
-    syndromes = mat_mul(b.parity_check, a.gen.transpose()).entries
-    if not syndromes.any():
+    syndromes = mat_mul(b.parity_check, a.gen.transpose())
+    if not syndromes.entries.any():
         return WeightReport(value=None, exact=True, enumerated=0)
-    if a.pivots != tuple(range(a.k)):
+    if not (a.is_cyclic and b.is_cyclic):
+        value, visited = _scan_relative_min_weight(a, syndromes, budget)
+    elif a.pivots != tuple(range(a.k)):
         raise RuntimeError("a cyclic code must be systematic on its first k positions")
-    value, visited = minimum_weight_scan(
-        a.gen.entries, a.field, syndromes=syndromes.T, budget=budget
-    )
+    else:
+        value, visited = minimum_weight_scan(
+            a.gen.entries, a.field, syndromes=syndromes.entries.T, budget=budget
+        )
     if value is None:
         raise RuntimeError("a non-subcode must have a word outside b")
     return WeightReport(value=value, exact=True, enumerated=visited)
 
 
-def _scan_relative_min_weight(a: LinearCode, b: LinearCode, budget: int) -> WeightReport:
-    """relative_min_weight by a scan of every scalar class of a.
+def _scan_relative_min_weight(
+    a: LinearCode, syndromes: MatrixGF, budget: int
+) -> tuple[int | None, int]:
+    """(minimum, words covered) of a \\ b, by a scan of every scalar
+    class of a.
 
-    The scan runs over the basis [I; R] of a: I is the reduced basis of
-    a.intersect(b), and R the rows of a's reduced generator whose pivot
-    columns lead no row of I.  A word of a then lies in b exactly when
-    its R digits are all zero, which the scan's skip excludes.
+    syndromes is the nonzero S = H_b·G_aᵀ of relative_min_weight.  A
+    message m gives a word m·G_a of b exactly when S·mᵀ = 0, so
+    null_space(S)·G_a spans a ∩ b.  The scan runs over the basis [I; R]
+    of a: I is the reduced basis of a ∩ b, and R the rows of a's reduced
+    generator whose pivot columns lead no row of I.  A word of a then
+    lies in b exactly when its R digits are all zero, which the scan's
+    skip excludes.
     """
-    inter = a.intersect(b)
-    s = inter.k
-    if s == a.k:
-        return WeightReport(value=None, exact=True, enumerated=0)
+    inter = LinearCode(a.field, mat_mul(null_space(syndromes), a.gen))
     shared = np.zeros(a.n, dtype=bool)  # the leading columns of I
     shared[list(inter.pivots)] = True
     rest = a.gen.entries[~shared[list(a.pivots)]]
-    value, visited = minimum_weight_scan(
-        np.vstack([inter.gen.entries, rest]), a.field, skip=s, budget=budget
+    return minimum_weight_scan(
+        np.vstack([inter.gen.entries, rest]), a.field, skip=inter.k, budget=budget
     )
-    if value is None:
-        raise RuntimeError("a non-subcode must have a word outside b")
-    return WeightReport(value=value, exact=True, enumerated=visited)
 
 
 # -- code files ---------------------------------------------------------

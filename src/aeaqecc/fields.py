@@ -19,13 +19,10 @@ along the generator's powers are loops.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from math import gcd
 
 import numpy as np
-
-from .errors import FieldMismatchError
 
 # Dense pair tables are kept for orders up to this bound; log/antilog
 # tables alone serve larger fields.
@@ -316,9 +313,6 @@ class FiniteField:
     def neg(self, a: int) -> int:
         return int(self._neg[a])
 
-    def sub(self, a: int, b: int) -> int:
-        return self.add(a, self.neg(b))
-
     def mul(self, a: int, b: int) -> int:
         if a == 0 or b == 0:
             return 0
@@ -328,9 +322,6 @@ class FiniteField:
         if a == 0:
             raise ZeroDivisionError(f"0 has no inverse in {self}")
         return int(self._inv[a])
-
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
@@ -360,12 +351,6 @@ class FiniteField:
     @property
     def designator(self) -> str:
         return f"{self.p}^{self.degree}" if self.degree > 1 else str(self.p)
-
-    def element(self, value: int) -> "FieldElement":
-        return FieldElement(self, self.check_value(value))
-
-    def elements(self) -> range:
-        return range(self.order)
 
     @property
     def add_table(self) -> np.ndarray:
@@ -401,51 +386,6 @@ class FiniteField:
 
     def __repr__(self) -> str:
         return f"GF({self.designator})"
-
-
-@dataclass(frozen=True)
-class FieldElement:
-    """A single field element; arithmetic checks both operands share a field."""
-
-    field: FiniteField
-    value: int
-
-    def _same_field(self, other: "FieldElement") -> None:
-        if not isinstance(other, FieldElement):
-            raise TypeError(f"cannot combine FieldElement with {type(other).__name__}")
-        if other.field != self.field:
-            raise FieldMismatchError(f"{self.field} vs {other.field}")
-
-    def __add__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.field.add(self.value, other.value))
-
-    def __sub__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.field.sub(self.value, other.value))
-
-    def __mul__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.field.mul(self.value, other.value))
-
-    def __truediv__(self, other: "FieldElement") -> "FieldElement":
-        self._same_field(other)
-        return FieldElement(self.field, self.field.div(self.value, other.value))
-
-    def __neg__(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.neg(self.value))
-
-    def __pow__(self, e: int) -> "FieldElement":
-        return FieldElement(self.field, self.field.pow(self.value, e))
-
-    def inverse(self) -> "FieldElement":
-        return FieldElement(self.field, self.field.inv(self.value))
-
-    def __bool__(self) -> bool:
-        return self.value != 0
-
-    def __repr__(self) -> str:
-        return f"{self.value}@{self.field.designator}"
 
 
 @lru_cache(maxsize=None)

@@ -109,14 +109,6 @@ def stack(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     return MatrixGF(field, np.vstack([a.entries, b.entries]))
 
 
-def augment(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    """Horizontal concatenation."""
-    field = _same_field(a, b)
-    if a.rows != b.rows:
-        raise ValueError(f"row mismatch: {a.rows} vs {b.rows}")
-    return MatrixGF(field, np.hstack([a.entries, b.entries]))
-
-
 def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """a @ b with every product a_il * b_lj gathered at once.
 
@@ -226,22 +218,13 @@ def echelon_basis(m: MatrixGF) -> tuple[MatrixGF, tuple[int, ...]]:
     return MatrixGF(m.field, r.entries[:rk]), pivots
 
 
-def row_space(m: MatrixGF) -> MatrixGF:
-    """Canonical basis of the row space."""
-    return echelon_basis(m)[0]
-
-
-def row_space_sum(a: MatrixGF, b: MatrixGF) -> MatrixGF:
-    return row_space(stack(a, b))
-
-
 def row_space_intersect(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     """Canonical basis of the intersection of two row spaces.
 
     Zassenhaus-style: reduce [[A A], [B 0]]; rows whose left half became
     zero hold intersection vectors in their right half, already reduced
     there because their pivots lie in it.  Kept as the tests' oracle for
-    LinearCode.intersect.
+    the intersections that relative_min_weight reads off its syndromes.
     """
     field = _same_field(a, b)
     if a.cols != b.cols:

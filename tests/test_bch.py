@@ -95,6 +95,9 @@ def test_splitting_fields():
     assert splitting_field(17, 4).order == 256
     assert splitting_field(63, 8).order == 64
     assert splitting_field(6, 7).order == 7
+    # n = 1: the only coset is {0}, so GF(q) itself
+    assert splitting_field(1, 2).order == 2
+    assert splitting_field(1, 9).order == 9
 
 
 def test_evaluation_code_small():

@@ -233,11 +233,13 @@ def test_bch_construct_usage_errors(capsys):
 
 
 def test_bch_construct_degenerate_pair_is_usage_error(capsys):
-    # dual(C1) lies inside C2, so dz is undefined
-    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "13",
-                         "--labels1", "1", "--labels2", "0")
-    assert code == 2 and out == ""
-    assert len(err.splitlines()) == 1 and "dz is undefined" in err
+    # dual(C1) lies inside C2, so dz is undefined; at n = 1 both codes
+    # are all of GF(2)^1
+    for n, labels1, labels2 in (("13", "1", "0"), ("1", "0", "0")):
+        code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", n,
+                             "--labels1", labels1, "--labels2", labels2)
+        assert code == 2 and out == ""
+        assert len(err.splitlines()) == 1 and "dz is undefined" in err
 
 
 def test_bch_construct_rejects_out_of_range_labels(capsys):
@@ -273,6 +275,11 @@ def test_enlarge_demo_rejections(capsys):
     assert code == 2
     code, _, err = run(capsys, "enlarge-demo", "--q", "7", "--budget", "2048")
     assert code == 2 and "budget" in err
+    # prime powers past the largest supported field
+    for q in ("65537", "131072"):
+        code, out, err = run(capsys, "enlarge-demo", "--q", q)
+        assert (code, out) == (2, "")
+        assert err == f"field order {q} beyond supported table size\n"
 
 
 def test_unknown_command_is_usage_error(capsys):

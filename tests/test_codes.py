@@ -19,7 +19,6 @@ from aeaqecc.codes import (
     parse_code,
     read_code_file,
     relative_min_weight,
-    symplectic_weight,
     write_code_file,
 )
 from aeaqecc import enumeration, linalg
@@ -28,9 +27,9 @@ from aeaqecc.errors import BudgetExceededError, CodeFormatError, FieldMismatchEr
 from aeaqecc.fields import field_create
 from aeaqecc.linalg import (
     MatrixGF,
+    echelon_basis,
     mat_mul,
     null_space,
-    row_space,
     row_space_intersect,
     stack,
 )
@@ -177,7 +176,7 @@ def test_relative_min_weight_matches_naive(p):
         )
         extra = [rng.randrange(p) for _ in range(n)]
         b = LinearCode.from_rows(field, mat_mul(coef, a.gen).entries.tolist() + [extra])
-        if a.intersect(b).k < 2 or a.is_subcode_of(b):
+        if row_space_intersect(a.gen, b.gen).rows < 2 or a.is_subcode_of(b):
             continue
         report = relative_min_weight(a, b)
         assert report.value == naive_min_weight(a.gen.entries, field, member=b.contains)
@@ -185,6 +184,26 @@ def test_relative_min_weight_matches_naive(p):
         full = relative_min_weight(a, LinearCode.full(field, n))
         assert full.is_empty and full.enumerated == 0
         checked += 1
+
+
+def lightest_outside(a, b):
+    """Least weight of a word of a outside b, by a walk over all of F_q^n
+    by weight, each support's words tested against both parity checks at
+    once; None when a lies in b by the Zassenhaus oracle."""
+    if row_space_intersect(a.gen, b.gen).rows == a.k:
+        return None
+    field, n = a.field, a.n
+    for w in range(1, n + 1):
+        values = np.array(list(itertools.product(range(1, field.order), repeat=w)))
+        for support in itertools.combinations(range(n), w):
+            words = np.zeros((len(values), n), dtype=np.int64)
+            words[:, list(support)] = values
+            cols = MatrixGF(field, words.T)
+            in_a = ~mat_mul(a.parity_check, cols).entries.any(axis=0)
+            in_b = ~mat_mul(b.parity_check, cols).entries.any(axis=0)
+            if (in_a & ~in_b).any():
+                return w
+    raise AssertionError("a code outside b must have a word outside b")
 
 
 def _lanes_per_word(p, r):
@@ -367,25 +386,6 @@ def test_scan_deterministic():
     assert first == second
 
 
-def test_symplectic_weight():
-    assert symplectic_weight([1, 0, 1, 0, 0, 0, 1, 1]) == 3
-    assert symplectic_weight([0, 0, 0, 0]) == 0
-    assert symplectic_weight([0, 2, 1, 0]) == 2
-    assert symplectic_weight([0, 2, 0, 1]) == 1
-    with pytest.raises(ValueError):
-        symplectic_weight([1, 0, 1])
-
-
-def test_symplectic_weight_counts_joint_support():
-    rng = random.Random(9)
-    for _ in range(50):
-        n = rng.randrange(1, 10)
-        a = [rng.randrange(3) for _ in range(n)]
-        b = [rng.randrange(3) for _ in range(n)]
-        want = sum(1 for x, y in zip(a, b) if x or y)
-        assert symplectic_weight(a + b) == want
-
-
 # -- LinearCode behaviour ----------------------------------------------
 
 def test_code_canonical_under_row_operations():
@@ -447,19 +447,20 @@ def test_parity_check_from_pivots_needs_no_elimination(monkeypatch):
     monkeypatch.undo()
     for code, h in zip(built, checks):
         assert h.shape == (code.n - code.k, code.n)
-        assert row_space(h) == row_space(null_space(code.gen))
+        assert echelon_basis(h) == echelon_basis(null_space(code.gen))
         assert not mat_mul(code.gen, h.transpose()).entries.any()
 
 
 def test_intersection():
+    # relative_min_weight scans a around its intersection with b, read off
+    # the syndromes; a ∩ b = <1111> here, so a \ b and b \ a weigh 2
     f2 = field_create(2)
     a = LinearCode.from_rows(f2, [[1, 1, 0, 0], [0, 0, 1, 1]])
     b = LinearCode.from_rows(f2, [[1, 1, 1, 1], [1, 0, 1, 0]])
-    meet = a.intersect(b)
-    assert meet.k == 1
-    assert meet.contains([1, 1, 1, 1])
-    # the syndrome rule against the 2n-wide Zassenhaus reduction, with
-    # zero and full codes on either side
+    assert relative_min_weight(a, b) == WeightReport(value=2, exact=True, enumerated=3)
+    assert relative_min_weight(b, a) == WeightReport(value=2, exact=True, enumerated=3)
+    # against the naive scan up to 256 codewords and the walk by weight
+    # past them, with zero and full codes on either side
     for p, r in [(2, 1), (3, 1), (5, 1), (2, 2), (2, 3), (3, 2)]:
         field = field_create(p, r)
         rng = random.Random(1000 * p + r)
@@ -475,14 +476,20 @@ def test_intersection():
                 mix = [[rng.randrange(field.order) for _ in range(a.k)] for _ in range(a.k)]
                 shared = mat_mul(MatrixGF.from_rows(field, mix), a.gen) if a.k else a.gen
                 extra = random_code(n, rng.randrange(0, 2)).gen
-                b = LinearCode(field, row_space(stack(shared, extra)))
+                b = LinearCode(field, stack(shared, extra))
             else:
                 b = random_code(n, rng.randrange(0, n + 1))
             zero, full = LinearCode.zero(field, n), LinearCode.full(field, n)
             pairs = [(a, b), (b, a), (a.dual(), b), (b.dual(), a),
                      (zero, b), (a, zero), (full, b), (a, full)]
             for x, y in pairs:
-                assert x.intersect(y).gen == row_space_intersect(x.gen, y.gen)
+                if field.order**x.k <= 256:
+                    want = naive_min_weight(x.gen.entries, field, member=y.contains)
+                else:
+                    want = lightest_outside(x, y)
+                report = relative_min_weight(x, y)
+                assert report.value == want
+                assert report.enumerated == (0 if want is None else field.order**x.k - 1)
 
 
 def test_field_mismatch_rejected():
@@ -490,8 +497,6 @@ def test_field_mismatch_rejected():
     f3 = field_create(3)
     a = LinearCode.from_rows(f2, [[1, 0]])
     b = LinearCode.from_rows(f3, [[1, 0]])
-    with pytest.raises(FieldMismatchError):
-        a.intersect(b)
     with pytest.raises(FieldMismatchError):
         relative_min_weight(a, b)
 

@@ -10,10 +10,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from aeaqecc.errors import FieldMismatchError
 from aeaqecc.fields import (
     _PAIR_TABLE_LIMIT,
-    FieldElement,
     FiniteField,
     default_modulus,
     field_create,
@@ -406,29 +404,6 @@ def test_primitive_nth_root_invariants():
             if (F.order - 1) % n == 0:
                 of_order_n = [v for v in range(1, F.order) if multiplicative_order(F, v) == n]
                 assert primitive_nth_root(F, n) == min(of_order_n)
-
-
-def test_field_elements_check_field_identity():
-    F4 = field_create(2, 2)
-    F9 = field_create(3, 2)
-    a = F4.element(2)
-    b = F9.element(2)
-    with pytest.raises(FieldMismatchError):
-        _ = a + b
-    with pytest.raises(TypeError):
-        _ = a + 1
-    assert (a * a).value == 3
-    assert (-a).value == 2
-    assert (F9.element(1) + F9.element(2)).value == 0
-    with pytest.raises(ValueError):
-        F4.element(4)
-
-
-def test_field_element_is_hashable_and_frozen():
-    F = field_create(3, 1)
-    s = {F.element(1), F.element(1), F.element(2)}
-    assert len(s) == 2
-    assert FieldElement(F, 1) == F.element(1)
 
 
 def test_designators_round_trip():

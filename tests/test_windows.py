@@ -1,9 +1,10 @@
 """The cyclic-window distance search, cross-checked against the scan.
 
 relative_min_weight takes the window search when both codes are cyclic;
-_scan_relative_min_weight is the scan every other pair takes.  Each test
-runs both on cells where both fit the budget and requires the same
-report: value, exact flag and words covered.
+_scan_relative_min_weight is the scan every other pair takes, from the
+same syndromes of a's rows against b.  Each test runs both on cells
+where both fit the budget and requires the same report: value, exact
+flag and words covered.
 """
 
 import itertools
@@ -13,15 +14,27 @@ import pytest
 
 from aeaqecc import codes, eaqecc, enumeration
 from aeaqecc.bch import bch_asym_code, coset_code, cyclotomic_cosets
-from aeaqecc.codes import LinearCode, _scan_relative_min_weight, relative_min_weight
+from aeaqecc.codes import (
+    LinearCode,
+    WeightReport,
+    _scan_relative_min_weight,
+    relative_min_weight,
+)
 from aeaqecc.errors import BudgetExceededError
 from aeaqecc.fields import field_create
-from aeaqecc.linalg import MatrixGF
+from aeaqecc.linalg import MatrixGF, mat_mul
 from aeaqecc.tables import reproduce_table1, reproduce_table2
 
 
 def _forbidden(*args, **kwargs):
     raise AssertionError("this path must not run")
+
+
+def _scan(a, b, budget):
+    """The report of the scan relative_min_weight gives a non-cyclic pair."""
+    syndromes = mat_mul(b.parity_check, a.gen.transpose())
+    value, visited = _scan_relative_min_weight(a, syndromes, budget)
+    return WeightReport(value=value, exact=True, enumerated=visited)
 
 
 def _check(a, b, monkeypatch, budget=codes.DEFAULT_BUDGET):
@@ -31,7 +44,7 @@ def _check(a, b, monkeypatch, budget=codes.DEFAULT_BUDGET):
     with monkeypatch.context() as m:
         m.setattr(enumeration, "_scan", _forbidden)
         window = relative_min_weight(a, b, budget)
-    assert window == _scan_relative_min_weight(a, b, budget)
+    assert window == _scan(a, b, budget)
     assert window.enumerated == a.field.order**a.k - 1
     return window
 
@@ -172,12 +185,20 @@ def test_messages_one_per_scalar_class(k, q):
 
 
 def test_contained_pair_is_empty_without_search(monkeypatch):
+    # a lies in b: the syndromes both paths share give the empty marker
+    # before either runs, for the cyclic pair and for a permuted copy
+    # that would take the scan
     a = coset_code(15, 2, [1])
     b = coset_code(15, 2, [0, 1, 3])
+    perm = list(range(15))
+    random.Random(5).shuffle(perm)
+    p_a, p_b = _permuted(a, perm), _permuted(b, perm)
+    assert not p_a.is_cyclic and not p_b.is_cyclic
     monkeypatch.setattr(enumeration, "_windows", _forbidden)
+    monkeypatch.setattr(codes, "_scan_relative_min_weight", _forbidden)
     report = relative_min_weight(a, b)
     assert report.is_empty and report.enumerated == 0
-    assert report == _scan_relative_min_weight(a, b, codes.DEFAULT_BUDGET)
+    assert relative_min_weight(p_a, p_b) == report
 
 
 def test_budget_refused_before_the_search(monkeypatch):
@@ -203,9 +224,9 @@ def test_permuted_pair_takes_the_scan(monkeypatch):
     scans = []
     scan = codes._scan_relative_min_weight
 
-    def spy(a, b, budget):
-        scans.append((a, b))
-        return scan(a, b, budget)
+    def spy(a, syndromes, budget):
+        scans.append(a)
+        return scan(a, syndromes, budget)
 
     monkeypatch.setattr(enumeration, "_windows", _forbidden)
     monkeypatch.setattr(codes, "_scan_relative_min_weight", spy)
