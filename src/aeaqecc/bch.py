@@ -4,8 +4,9 @@ A length n coprime to q splits {0,...,n-1} into q-cyclotomic cosets.
 Unions of cosets select monomial exponent sets Delta; evaluating those
 monomials at the n-th roots of unity in a big field GF(p^l) and cutting
 down to GF(q) by the trace yields the classical codes whose pairs drive
-the asymmetric EAQECC factory at the bottom of this module.  Distance
-floors come from the consecutive-run (BCH) bound and the
+the asymmetric EAQECC factory at the bottom of this module (built from
+generator polynomials, CyclicCode, with the trace route as oracle).
+Distance floors come from the consecutive-run (BCH) bound and the
 arithmetic-progression (Hartmann-Tzeng) generalization.
 """
 
@@ -24,6 +25,7 @@ from .enumeration import DEFAULT_BUDGET
 from .errors import FieldMismatchError
 from .fields import (
     FiniteField,
+    add_encodings,
     field_create,
     prime_power_decomposition,
     primitive_nth_root,
@@ -198,9 +200,7 @@ def subfield_subcode(ev: EvaluationCode, q: int) -> LinearCode:
 def coset_code(n: int, q: int, labels: Iterable[int]) -> LinearCode:
     """Subfield-subcode over GF(q) from the closure of the given labels."""
     structure = cyclotomic_cosets(n, q)
-    delta = structure.closure(labels)
-    big = splitting_field(n, q)
-    return subfield_subcode(evaluation_code(big, n, delta), q)
+    return CyclicCode(structure, structure.closure(labels))
 
 
 def dual_defining_set(structure: CosetStructure, delta: Iterable[int]) -> tuple[int, ...]:
@@ -216,6 +216,98 @@ def dual_defining_set(structure: CosetStructure, delta: Iterable[int]) -> tuple[
     n = structure.n
     negated = {(n - a) % n for a in delta}
     return tuple(sorted(set(range(n)) - negated))
+
+
+# -- cyclic codes from their defining sets ------------------------------
+
+def _poly_mul(field: FiniteField, exp: list, log: list, a: list, b: list) -> list:
+    """a*b over ``field``, lowest degree first, with no pair table."""
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        out[i : i + len(b)] = _axpy(field, exp, log, out[i : i + len(b)], c, b)
+    return out
+
+
+def _axpy(field: FiniteField, exp: list, log: list, y: list, c: int, x: list) -> list:
+    """y + c*x entrywise: exp/log products, sums without pair tables."""
+    if not c:
+        return y
+    p, lc = field.p, log[c]
+    if p == 2:
+        return [a ^ exp[lc + log[b]] if b else a for a, b in zip(y, x)]
+    if field.degree == 1:
+        return [(a + c * b) % p for a, b in zip(y, x)]
+    return [add_encodings(a, exp[lc + log[b]], p) if b else a for a, b in zip(y, x)]
+
+
+@lru_cache(maxsize=None)
+def _minimal_polynomials(n: int, q: int) -> dict[int, list[int]]:
+    """GF(q) encodings of the minimal polynomial of beta^a for every
+    representative a, with beta the root EvaluationCode evaluates at: the
+    product of x - beta^e over the coset of a, formed in the splitting field.
+    """
+    big = splitting_field(n, q)
+    retract = subfield_embedding(field_create(*prime_power_decomposition(q)), big)._retract
+    exp, log = big._exp.tolist(), big._log.tolist()
+    beta = primitive_nth_root(big, n)
+    out = {}
+    for coset in cyclotomic_cosets(n, q).cosets:
+        poly = [1]
+        for e in coset:
+            poly = _poly_mul(big, exp, log, poly, [big.neg(big.pow(beta, e)), 1])
+        out[coset[0]] = [int(retract[c]) for c in poly]
+        if min(out[coset[0]]) < 0:
+            raise RuntimeError(f"minimal polynomial of beta^{coset[0]} leaves GF({q})")
+    return out
+
+
+class CyclicCode(LinearCode):
+    """The code subfield_subcode(evaluation_code(..., delta), q) spans,
+    built with no elimination.  Its words vanish at beta^e exactly for e
+    in -(Z_n \\ delta): its generator polynomial g, of degree n - k, is
+    those cosets' minimal polynomials multiplied.  Row i of its reduced
+    generator [I_k | P] is x^i + x^k u_i with u_i = -(x^(n-k+i) mod g), a
+    multiple of g (times x^(n-k) it is x^(n-k+i) + u_i mod x^n - 1), and
+    one shift-register pass gives u_(i+1) = x u_i - lead(u_i) g.  The dual
+    vanishes on delta and has [I_(n-k) | -Pᵀ], the parity check [-Pᵀ | I_k]
+    rotated by k places, so the pass runs on the smaller of the two degrees.
+    """
+
+    is_cyclic = True
+
+    def __init__(self, structure: CosetStructure, delta: Iterable[int]):
+        delta = tuple(sorted(set(delta)))
+        if not structure.is_closed(delta):
+            raise ValueError("exponent set is not a union of cyclotomic cosets")
+        n, k, members = structure.n, len(delta), set(delta)
+        field = field_create(*prime_power_decomposition(structure.q))
+        exp, log = field._exp.tolist(), field._log.tolist()
+        minimal = _minimal_polynomials(n, structure.q)
+        on_dual = 2 * k < n  # the dual's generator polynomial has degree k
+        g = [1]
+        for a in structure.reps:
+            if (a in members) if on_dual else ((-a) % n not in members):
+                g = _poly_mul(field, exp, log, g, minimal[a])
+        tails, u = [], g[:-1]
+        for _ in range(n + 1 - len(g)):
+            tails.append(u)
+            if u:
+                u = _axpy(field, exp, log, [0] + u[:-1], field.neg(u[-1]), g)
+        tails = np.array(tails, dtype=np.int64)
+        self._set(structure, delta, field, field.neg_table[tails.T] if on_dual else tails)
+
+    def _set(self, structure, delta, field, tails) -> None:  # gen = [I | tails]
+        self.field, self.n, self.k = field, structure.n, len(delta)
+        self.gen = MatrixGF(field, np.hstack([np.eye(self.k, dtype=np.int64), tails]))
+        self.pivots = tuple(range(self.k))
+        self.structure, self.delta = structure, delta
+
+    def dual(self) -> "CyclicCode":
+        code = CyclicCode.__new__(CyclicCode)
+        tails = self.field.neg_table[self.gen.entries[:, self.k :].T]
+        code._set(self.structure, dual_defining_set(self.structure, self.delta), self.field, tails)
+        code.parity_check = self.gen
+        return code
 
 
 def bch_bound(structure: CosetStructure, t: int) -> int:
@@ -352,6 +444,14 @@ class BchConstruction:
     dx_bound: int
 
 
+def _check_coset_indices(structure: CosetStructure, s: int, t: int) -> None:
+    if structure.z < 2:
+        raise ValueError("the construction needs at least three cyclotomic cosets; "
+                         f"n={structure.n} has {structure.z + 1} over GF({structure.q})")
+    if not 0 <= s < t <= structure.z - 1:
+        raise ValueError(f"need 0 <= s < t <= {structure.z - 1}")
+
+
 def bch_asym_code(
     structure: CosetStructure, s: int, t: int, budget: int = DEFAULT_BUDGET
 ) -> BchConstruction:
@@ -363,15 +463,12 @@ def bch_asym_code(
     the consecutive-run floors a_(t+1)+1 and a_(s+1)+1 and are upgraded
     to exact values when the enumeration budget allows.
     """
-    if not 0 <= s < t <= structure.z - 1:
-        raise ValueError(f"need 0 <= s < t <= {structure.z - 1}")
-    n, q = structure.n, structure.q
+    _check_coset_indices(structure, s, t)
     delta1 = structure.closure(structure.reps[: t + 1])
     recip = [reciprocal_rep(structure, a) for a in structure.reps[: s + 1]]
     delta2 = structure.closure(recip)
-    big = splitting_field(n, q)
-    c1 = subfield_subcode(evaluation_code(big, n, delta1), q)
-    c2 = subfield_subcode(evaluation_code(big, n, delta2), q)
+    c1 = CyclicCode(structure, delta1)
+    c2 = CyclicCode(structure, delta2)
     dz_bound = bch_bound(structure, t)
     dx_bound = structure.reps[s + 1] + 1
     params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
@@ -423,8 +520,7 @@ def closed_form_bch_params(
     if (p**ell - 1) % n != 0:
         raise ValueError(f"n={n} must divide p^ell - 1 = {p ** ell - 1}")
     structure = cyclotomic_cosets(n, q)
-    if not 0 <= s < t <= structure.z - 1:
-        raise ValueError(f"need 0 <= s < t <= {structure.z - 1}")
+    _check_coset_indices(structure, s, t)
     a_t1 = structure.reps[t + 1]
     a_s1 = structure.reps[s + 1]
     m = ell // r

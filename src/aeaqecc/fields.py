@@ -76,6 +76,17 @@ def _decode(value: int, p: int, width: int) -> list[int]:
     return out
 
 
+def add_encodings(a: int, b: int, p: int) -> int:
+    """Sum of two encodings in characteristic p, digit by digit mod p."""
+    out, mult = 0, 1
+    while a or b:
+        out += ((a + b) % p) * mult
+        a //= p
+        b //= p
+        mult *= p
+    return out
+
+
 def _poly_trim(a: list[int]) -> list[int]:
     while a and a[-1] == 0:
         a.pop()
@@ -301,14 +312,7 @@ class FiniteField:
     def add(self, a: int, b: int) -> int:
         if self._add2 is not None:
             return int(self._add2[a, b])
-        p = self.p
-        out, mult = 0, 1
-        while a or b:
-            out += ((a + b) % p) * mult
-            a //= p
-            b //= p
-            mult *= p
-        return out
+        return add_encodings(a, b, self.p)
 
     def neg(self, a: int) -> int:
         return int(self._neg[a])

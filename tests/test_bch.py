@@ -1,10 +1,16 @@
+import os
 import random
+import re
+import subprocess
+import sys
+import textwrap
 from math import gcd
 
 import pytest
 
-from aeaqecc import bch
+from aeaqecc import bch, linalg
 from aeaqecc.bch import (
+    CyclicCode,
     _ht_search,
     bch_asym_code,
     bch_bound,
@@ -213,6 +219,91 @@ def test_coset_code():
     code = coset_code(15, 4, [0, 1])
     assert code.k == 3 and code.field.order == 4
     assert coset_code(15, 2, [0, 1, 3, 5]).k == 11
+
+
+def _oracle_pairs():
+    """(q, n) of the BCH sweep benchmark, the labels benchmark, and n = 1.
+
+    The sweep pairs are q in {2, 3, 4, 5, 7, 8, 9} with 2 <= n <= 45 coprime
+    to q, a splitting field of at most 2^12 elements other than GF(2^11),
+    and at least three cosets.  They include the splitting fields GF(2^12)
+    (n = 45, q = 2) and GF(5^5) (n = 11, q = 5), which have no pair tables,
+    and the odd extension q = 9; the labels pairs add q = 16 and q = 25.
+    """
+    sweep = [
+        (q, n)
+        for q in (2, 3, 4, 5, 7, 8, 9)
+        for n in range(2, 46)
+        if gcd(n, q) == 1
+        and q ** cyclotomic_cosets(n, q).size_of(1) <= 1 << 12
+        and q ** cyclotomic_cosets(n, q).size_of(1) != 1 << 11
+        and len(cyclotomic_cosets(n, q).reps) >= 3
+    ]
+    labels = [(2, 85), (2, 63), (4, 63), (8, 63), (3, 80), (9, 80), (5, 62), (7, 57),
+              (16, 51), (4, 51), (25, 48), (7, 48)]
+    return sweep + labels + [(2, 1), (9, 1), (25, 1)]
+
+
+def test_cyclic_code_matches_trace_route():
+    # the generator-polynomial construction against the trace matrix and
+    # its elimination, on prefix, suffix and alternating coset sets, the
+    # empty set and all of Z_n
+    pairs = _oracle_pairs()
+    assert len(pairs) == 87 + 12 + 3
+    assert {(2, 45), (5, 11)} <= set(pairs)  # GF(2^12) and GF(5^5)
+    for q, n in pairs:
+        s = cyclotomic_cosets(n, q)
+        big = splitting_field(n, q)
+        half = max(1, len(s.reps) // 2)
+        for reps in {(), s.reps, s.reps[:half], s.reps[half:], s.reps[::2], s.reps[1::2]}:
+            delta = s.closure(reps)
+            code = CyclicCode(s, delta)
+            oracle = subfield_subcode(evaluation_code(big, n, delta), q)
+            assert code.field == oracle.field and code.k == len(delta)
+            assert code.gen == oracle.gen, (q, n, reps)
+            assert code.pivots == oracle.pivots
+            assert code.parity_check == oracle.parity_check
+            assert code.dual().gen == oracle.dual().gen
+            assert code.is_cyclic and code.dual().is_cyclic
+
+
+def test_coset_codes_need_no_elimination(monkeypatch):
+    # coset_code reads its reduced generator off the generator polynomial;
+    # bch_asym_code eliminates once, for the rank in entanglement_c
+    calls = []
+    original = linalg.rref
+
+    def spy(m):
+        calls.append(m.shape)
+        return original(m)
+
+    monkeypatch.setattr(linalg, "rref", spy)
+    for n, q, labels in [(15, 2, [1]), (21, 4, [0, 7]), (26, 3, [1, 2]), (48, 25, [1])]:
+        code = coset_code(n, q, labels)
+        code.dual().parity_check
+    assert calls == []
+    for n, q, s, t in [(15, 4, 0, 1), (24, 5, 1, 2), (33, 2, 0, 1)]:
+        built = bch_asym_code(cyclotomic_cosets(n, q), s, t)
+        built.c1.dual(), built.c2.dual()
+        assert len(calls) == 1
+        calls.clear()
+
+
+def test_construction_builds_no_splitting_field_pair_tables():
+    # minimal polynomials multiply in the splitting field by exp/log alone,
+    # so its q x q tables never inflate memory.  A fresh interpreter,
+    # because other tests read the cached fields' tables.
+    script = textwrap.dedent("""
+        from aeaqecc.bch import bch_asym_code, coset_code, cyclotomic_cosets, splitting_field
+        bch_asym_code(cyclotomic_cosets(33, 2), 0, 1)
+        coset_code(26, 3, [1, 2]).dual()
+        for field in (splitting_field(33, 2), splitting_field(26, 3)):
+            print(field.order, sorted({"_add2", "_mul2"} & set(vars(field))))
+    """)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.splitlines() == ["1024 []", "27 []"]
 
 
 def _assert_dual_identity(s, delta, dual):
@@ -504,6 +595,11 @@ def test_bch_asym_code_validation():
     for bad_s, bad_t in [(1, 1), (2, 1), (0, 8), (-1, 1)]:
         with pytest.raises(ValueError):
             bch_asym_code(s, bad_s, bad_t, budget=0)
+    # fewer than three cosets leave no valid (s, t) at all
+    for n, q, count in [(1, 2, 1), (3, 2, 2)]:
+        message = f"at least three cyclotomic cosets; n={n} has {count} over GF({q})"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            bch_asym_code(cyclotomic_cosets(n, q), 0, 0, budget=0)
 
 
 def test_closed_form_within_conditions():
@@ -536,3 +632,7 @@ def test_closed_form_validation():
         closed_form_bch_params(2, 3, 8, 51, 1, 4)  # r does not divide ell
     with pytest.raises(ValueError):
         closed_form_bch_params(2, 1, 4, 14, 0, 1)  # 14 does not divide 15
+    with pytest.raises(ValueError, match="three cyclotomic cosets; n=1 has 1 over GF"):
+        closed_form_bch_params(2, 1, 4, 1, 0, 0)
+    with pytest.raises(ValueError, match="three cyclotomic cosets; n=3 has 2 over GF"):
+        closed_form_bch_params(2, 1, 2, 3, 0, 0)

@@ -232,6 +232,21 @@ def test_bch_construct_usage_errors(capsys):
     assert code == 2
 
 
+def test_bch_construct_needs_three_cosets(capsys):
+    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "1",
+                         "--s", "0", "--t", "0")
+    assert (code, out) == (2, "")
+    assert err == "the construction needs at least three cyclotomic cosets; n=1 has 1 over GF(2)\n"
+
+
+def test_bch_construct_code_field_without_pair_tables(capsys):
+    # the codes over GF(2^12) are built, and their first product refuses
+    code, out, err = run(capsys, "bch-construct", "--q", "4096", "--n", "5",
+                         "--labels1", "1", "--labels2", "2")
+    assert (code, out) == (2, "")
+    assert err == "GF(2^12) is too large for dense pair tables\n"
+
+
 def test_bch_construct_degenerate_pair_is_usage_error(capsys):
     # dual(C1) lies inside C2, so dz is undefined; at n = 1 both codes
     # are all of GF(2)^1

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from aeaqecc import linalg
-from aeaqecc.bch import coset_code
+from aeaqecc.bch import cyclotomic_cosets, evaluation_code, splitting_field, subfield_subcode
 from aeaqecc.errors import FieldMismatchError
 from aeaqecc.fields import field_create
 from aeaqecc.linalg import (
@@ -233,7 +233,8 @@ def test_rref_early_stop_matches_full_sweep_on_tall_matrices(monkeypatch):
     monkeypatch.setattr(linalg, "rref", spy)
     for n, q, labels in [(15, 2, [0, 5]), (21, 4, [0, 7]), (13, 3, [0, 1]), (31, 2, [0, 5]),
                          (24, 5, [0, 6])]:
-        coset_code(n, q, labels)
+        delta = cyclotomic_cosets(n, q).closure(labels)
+        subfield_subcode(evaluation_code(splitting_field(n, q), n, delta), q)
     monkeypatch.undo()
     assert sum(rref(m)[1] < m.rows for m in tall) == 5  # one per trace matrix
     rng = random.Random(14)
