@@ -258,7 +258,7 @@ def _cmd_bch_construct(args) -> int:
     dx_bound = hartmann_tzeng_bound(args.n, delta2)
     try:
         params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
-    except (DegeneratePairError, ValueError) as e:  # also a code field without pair tables
+    except ValueError as e:  # a DegeneratePairError, or a code field without pair tables
         raise _CliError(EXIT_USAGE, str(e))
     _print_construction(args, params, delta1, delta2, dz_bound, dx_bound)
     return EXIT_OK
