@@ -25,7 +25,6 @@ from .enumeration import DEFAULT_BUDGET
 from .errors import FieldMismatchError
 from .fields import (
     FiniteField,
-    add_encodings,
     field_create,
     prime_power_decomposition,
     primitive_nth_root,
@@ -220,41 +219,72 @@ def dual_defining_set(structure: CosetStructure, delta: Iterable[int]) -> tuple[
 
 # -- cyclic codes from their defining sets ------------------------------
 
-def _poly_mul(field: FiniteField, exp: list, log: list, a: list, b: list) -> list:
-    """a*b over ``field``, lowest degree first, with no pair table."""
+def _log_tables(field: FiniteField) -> tuple[list, list, list | None]:
+    """exp and log of field as lists, and for an odd extension field the
+    Zech logs zech[i] = log(1 + g^i), -1 where 1 + g^i = 0.  Adding 1
+    changes digit 0 of an encoding alone, so zech is two array steps."""
+    exp, log, zech = field._exp, field._log, None
+    if field.p != 2 and field.degree > 1:
+        units = exp[: field.order - 1]
+        low = units % field.p
+        zech = log[units - low + (low + 1) % field.p].tolist()
+    return exp.tolist(), log.tolist(), zech
+
+
+def _poly_mul(field: FiniteField, tables: tuple, a: list, b: list) -> list:
+    """a*b over ``field``, lowest degree first, one pass per entry of the
+    shorter factor, with no pair table."""
+    if len(a) > len(b):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
-        out[i : i + len(b)] = _axpy(field, exp, log, out[i : i + len(b)], c, b)
+        out[i : i + len(b)] = _axpy(field, tables, out[i : i + len(b)], c, b)
     return out
 
 
-def _axpy(field: FiniteField, exp: list, log: list, y: list, c: int, x: list) -> list:
-    """y + c*x entrywise: exp/log products, sums without pair tables."""
+def _axpy(field: FiniteField, tables: tuple, y: list, c: int, x: list) -> list:
+    """y + c*x entrywise from _log_tables: exp/log products; sums by XOR
+    in characteristic 2, mod p in a prime field, and otherwise by Zech
+    logs, u + v = u*(1 + v/u)."""
     if not c:
         return y
-    p, lc = field.p, log[c]
+    p = field.p
+    if p != 2 and field.degree == 1:
+        return [(a + c * b) % p for a, b in zip(y, x)]
+    exp, log, zech = tables
+    lc = log[c]
     if p == 2:
         return [a ^ exp[lc + log[b]] if b else a for a, b in zip(y, x)]
-    if field.degree == 1:
-        return [(a + c * b) % p for a, b in zip(y, x)]
-    return [add_encodings(a, exp[lc + log[b]], p) if b else a for a, b in zip(y, x)]
+    units, out = len(zech), []
+    for a, b in zip(y, x):
+        if b:
+            lv = lc + log[b]
+            if a:
+                la = log[a]
+                z = zech[(lv - la) % units]
+                a = exp[la + z] if z >= 0 else 0
+            else:
+                a = exp[lv]
+        out.append(a)
+    return out
 
 
 @lru_cache(maxsize=None)
 def _minimal_polynomials(n: int, q: int) -> dict[int, list[int]]:
     """GF(q) encodings of the minimal polynomial of beta^a for every
     representative a, with beta the root EvaluationCode evaluates at: the
-    product of x - beta^e over the coset of a, formed in the splitting field.
+    product of x - beta^e over the coset of a, formed in the splitting
+    field, one pass over the product per factor.
     """
     big = splitting_field(n, q)
     retract = subfield_embedding(field_create(*prime_power_decomposition(q)), big)._retract
-    exp, log = big._exp.tolist(), big._log.tolist()
+    tables = _log_tables(big)
     beta = primitive_nth_root(big, n)
     out = {}
     for coset in cyclotomic_cosets(n, q).cosets:
         poly = [1]
-        for e in coset:
-            poly = _poly_mul(big, exp, log, poly, [big.neg(big.pow(beta, e)), 1])
+        for e in coset:  # x*poly - beta^e*poly
+            poly = _axpy(big, tables, [0] + poly, big.neg(big.pow(beta, e)), poly + [0])
         out[coset[0]] = [int(retract[c]) for c in poly]
         if min(out[coset[0]]) < 0:
             raise RuntimeError(f"minimal polynomial of beta^{coset[0]} leaves GF({q})")
@@ -271,6 +301,7 @@ class CyclicCode(LinearCode):
     one shift-register pass gives u_(i+1) = x u_i - lead(u_i) g.  The dual
     vanishes on delta and has [I_(n-k) | -Pᵀ], the parity check [-Pᵀ | I_k]
     rotated by k places, so the pass runs on the smaller of the two degrees.
+    The tails u_i go into one int32 array that already holds I_k.
     """
 
     is_cyclic = True
@@ -281,33 +312,45 @@ class CyclicCode(LinearCode):
             raise ValueError("exponent set is not a union of cyclotomic cosets")
         n, k, members = structure.n, len(delta), set(delta)
         field = field_create(*prime_power_decomposition(structure.q))
-        exp, log = field._exp.tolist(), field._log.tolist()
+        tables = _log_tables(field)
         minimal = _minimal_polynomials(n, structure.q)
         on_dual = 2 * k < n  # the dual's generator polynomial has degree k
         g = [1]
         for a in structure.reps:
             if (a in members) if on_dual else ((-a) % n not in members):
-                g = _poly_mul(field, exp, log, g, minimal[a])
-        tails, u = [], g[:-1]
+                g = _poly_mul(field, tables, g, minimal[a])
+        neg_g = field.neg_table[g].tolist()
+        flat, u = [], g[:-1]
         for _ in range(n + 1 - len(g)):
-            tails.append(u)
+            flat += u
             if u:
-                u = _axpy(field, exp, log, [0] + u[:-1], field.neg(u[-1]), g)
-        tails = np.array(tails, dtype=np.int64)
-        self._set(structure, delta, field, field.neg_table[tails.T] if on_dual else tails)
+                u = _axpy(field, tables, [0] + u[:-1], u[-1], neg_g)
+        tails = np.array(flat, dtype=np.int32).reshape(n + 1 - len(g), len(g) - 1)
+        gen = _identity(k, n)
+        gen[:, k:] = field.neg_table[tails.T] if on_dual else tails
+        self._set(structure, delta, field, gen)
 
-    def _set(self, structure, delta, field, tails) -> None:  # gen = [I | tails]
+    def _set(self, structure, delta, field, gen) -> None:  # gen = [I | P]
         self.field, self.n, self.k = field, structure.n, len(delta)
-        self.gen = MatrixGF(field, np.hstack([np.eye(self.k, dtype=np.int64), tails]))
+        self.gen = MatrixGF(field, gen)
         self.pivots = tuple(range(self.k))
         self.structure, self.delta = structure, delta
 
     def dual(self) -> "CyclicCode":
         code = CyclicCode.__new__(CyclicCode)
-        tails = self.field.neg_table[self.gen.entries[:, self.k :].T]
-        code._set(self.structure, dual_defining_set(self.structure, self.delta), self.field, tails)
+        k, n = self.k, self.n
+        gen = _identity(n - k, n)
+        gen[:, n - k :] = self.field.neg_table[self.gen.entries[:, k:].T]
+        code._set(self.structure, dual_defining_set(self.structure, self.delta), self.field, gen)
         code.parity_check = self.gen
         return code
+
+
+def _identity(k: int, n: int) -> np.ndarray:
+    """[I_k | 0], shape (k, n), as the int32 entries MatrixGF keeps."""
+    gen = np.zeros((k, n), dtype=np.int32)
+    np.fill_diagonal(gen, 1)
+    return gen
 
 
 def bch_bound(structure: CosetStructure, t: int) -> int:

@@ -48,15 +48,19 @@ and membership in B, so after level t every word of A \\ B with at most
 t nonzeros on some window has been matched by a visited one; any other
 has at least t + 1 on each of the n windows, which cover every position
 k times, so it weighs at least ceil((t + 1) n / k).  Once the best found
-is no larger, it is the minimum.  Level 1 finds a word of A \\ B if
-there is one (some row lies outside B), and at t = k - 1 the bound is
-n, so the walk ends by level max(1, k - 1).  The budget and the returned
-count are q^k as for a scan: each word is matched or bounded, so all
-q^k are covered.
+is no larger, it is the minimum.  Level 1's messages are the rows of
+[I_k | P] and their syndromes the rows of syndromes, so level 1 is read
+off those two arrays: the lightest row of nonzero syndrome.  That finds
+a word of A \\ B if there is one (some row lies outside B), and lanes
+are packed only when the walk goes on to t = 2.  At t = k - 1 the bound
+is n, so the walk ends by level max(1, k - 1).  The budget and the
+returned count are q^k as for a scan: each word is matched or bounded,
+so all q^k are covered.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import combinations, islice
 
 import numpy as np
@@ -206,6 +210,12 @@ class _Lanes:
             out += counts
 
 
+@lru_cache(maxsize=None)
+def _lanes(field: FiniteField, n: int) -> _Lanes:
+    """The lane layout of length-n vectors over field, built once."""
+    return _Lanes(field, n)
+
+
 def _span(lanes: _Lanes, rowmul: np.ndarray) -> np.ndarray:
     """Word-major table of every combination of the rows rowmul[:, i].
 
@@ -241,7 +251,7 @@ def _scan(gen, field, skipped, total):
     """Minimum weight over the words of index >= skipped (module docstring)."""
     q = field.order
     k, n = gen.shape
-    lanes = _Lanes(field, n)
+    lanes = _lanes(field, n)
     rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
 
     k_lo = _pick_k_lo(q, k, lanes.nwords * 8)
@@ -311,14 +321,19 @@ def _windows(gen, syndromes, field, total):
     """Minimum weight over the words of nonzero syndrome (module docstring)."""
     q = field.order
     k, n = gen.shape
-    lanes = _Lanes(field, n)
-    syn_lanes = _Lanes(field, syndromes.shape[1])
+    # level 1: the messages are the rows themselves
+    outside = syndromes.any(axis=1)
+    if not outside.any():
+        return None, total - 1
+    best = int(np.count_nonzero(gen[outside], axis=1).min())
+    if best <= -(-2 * n // k):
+        return best, total - 1
+
+    lanes, syn_lanes = _lanes(field, n), _lanes(field, syndromes.shape[1])
     rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
     synmul = syn_lanes.pack(field.mul_table[:, syndromes])
     cap = max(1, min(_BLOCK_TARGET, _BLOCK_BYTES // (8 * lanes.nwords)))
-
-    best = _BIG
-    for t in range(1, k + 1):
+    for t in range(2, k + 1):
         for sup, coef in _messages(k, t, q, cap):
             words = _combine(rowmul, sup[:, None], coef[None], lanes.add)
             wts = np.empty(words.shape[1], dtype=np.int32)

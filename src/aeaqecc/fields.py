@@ -168,10 +168,27 @@ def is_irreducible(coeffs: tuple[int, ...] | list[int], p: int) -> bool:
     return True
 
 
+def _has_root(coeffs: list[int], p: int) -> bool:
+    """Whether the polynomial has a root in GF(p), by Horner at each x."""
+    for x in range(p):
+        acc = 0
+        for c in reversed(coeffs):
+            acc = (acc * x + c) % p
+        if not acc:
+            return True
+    return False
+
+
 def default_modulus(p: int, degree: int) -> tuple[int, ...]:
-    """Monic irreducible polynomial of given degree with lowest encoding."""
+    """Monic irreducible polynomial of given degree with lowest encoding.
+
+    A candidate of degree > 1 with a root in GF(p) has a linear factor,
+    so it is passed over before the Rabin test.
+    """
     for m in range(p**degree):
         coeffs = _decode(m, p, degree) + [1]
+        if degree > 1 and _has_root(coeffs, p):
+            continue
         if is_irreducible(coeffs, p):
             return tuple(coeffs)
     raise RuntimeError(f"no irreducible polynomial of degree {degree} over GF({p})")  # pragma: no cover

@@ -89,10 +89,17 @@ def gv_finite_holds(query: GvQuery) -> bool:
 def gv_threshold(q: int, n: int, k1: int, k2: int, c: int) -> ThresholdPair:
     """Largest certifiable distance pair, first coordinate taking priority.
 
-    Scans 1 <= d1, d2 <= n+1 for pairs where the sum is below 1 but
-    bumping one coordinate pushes it to 1 or beyond, and returns the
+    Among 1 <= d1, d2 <= n+1, a pair qualifies when the sum is below 1 but
+    bumping one coordinate pushes it to 1 or beyond; the result is the
     lexicographic maximum.  Pairs at the grid edge whose neighbors all
     stay below 1 never qualify.
+
+    The sphere sums grow with d, so for each d1 the pairs below 1 are
+    d2 <= last(d1), and last only grows as d1 falls.  One walk of d1 from
+    n+1 down, with last moved up alongside, stops at the first d1 that
+    qualifies, paired with last(d1): that pair qualifies through its right
+    neighbor unless last = n+1, and then only through its upper one, which
+    no smaller d2 could do either.
     """
     _validate_shape(q, n, k1, k2, c)
     f1, f2 = _fractions(q, n, k1, k2, c)
@@ -102,22 +109,15 @@ def gv_threshold(q: int, n: int, k1: int, k2: int, c: int) -> ThresholdPair:
     sums = [0] * (n + 3)
     for d in range(2, n + 3):
         sums[d] = sums[d - 1] + comb(n, d - 1) * (q - 1) ** (d - 1)
-    best: tuple[int, int] | None = None
-    for d1 in range(1, n + 2):
-        for d2 in range(1, n + 2):
-            here = f1 * sums[d1] + f2 * sums[d2]
-            if here >= one:
-                break
-            up = f1 * sums[d1 + 1] + f2 * sums[d2]
-            right = f1 * sums[d1] + f2 * sums[d2 + 1]
-            if up >= one or right >= one:
-                if best is None or (d1, d2) > best:
-                    best = (d1, d2)
-    if best is None:
-        raise ThresholdEmptyError(
-            f"no threshold pair for q={q}, n={n}, k1={k1}, k2={k2}, c={c}"
-        )
-    return ThresholdPair(*best)
+    last = 0
+    for d1 in range(n + 1, 0, -1):
+        while last <= n and f1 * sums[d1] + f2 * sums[last + 1] < one:
+            last += 1
+        if last and (last <= n or f1 * sums[d1 + 1] + f2 * sums[last] >= one):
+            return ThresholdPair(d1, last)
+    raise ThresholdEmptyError(
+        f"no threshold pair for q={q}, n={n}, k1={k1}, k2={k2}, c={c}"
+    )
 
 
 # -- asymptotic form ----------------------------------------------------

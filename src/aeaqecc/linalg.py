@@ -156,18 +156,23 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
     Returns (reduced matrix, rank, pivot columns).  Pivot choice is the
     first row with a nonzero entry in the current column, so the output is
     unique for a given row space and deterministic for a given input.
+    Each pivot row is scaled to a leading 1, then one gather through the
+    pair tables adds coef * pivot row to every row, with coef the negated
+    column: rows already 0 there keep their entries, and the pivot row,
+    which this zeroes, is written back scaled.  The sweep stops once the
+    rows below the last pivot are all zero.
     """
     field = m.field
     add, mul = field.add_table, field.mul_table
     inv, neg = field.inv_table, field.neg_table
-    a = m.entries.astype(_ENTRY_DTYPE).copy()
+    a = m.entries.copy()
     nrows, ncols = a.shape
     pivots = []
     pr = 0
     for col in range(ncols):
         if pr >= nrows:
             break
-        nz = np.nonzero(a[pr:, col])[0]
+        nz = a[pr:, col].nonzero()[0]
         if nz.size == 0:
             if not a[pr:].any():  # only zero rows remain
                 break
@@ -175,14 +180,9 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
         sel = pr + int(nz[0])
         if sel != pr:
             a[[pr, sel]] = a[[sel, pr]]
-        pivval = a[pr, col]
-        if pivval != 1:
-            a[pr] = mul[int(inv[pivval])][a[pr]]
-        others = np.nonzero(a[:, col])[0]
-        others = others[others != pr]
-        if others.size:
-            coef = neg[a[others, col]].astype(_ENTRY_DTYPE)
-            a[others] = add[a[others], mul[coef[:, None], a[pr][None, :]]]
+        pivot = mul[inv[a[pr, col]], a[pr]]
+        a = add[a, mul[neg[a[:, col], None], pivot]]
+        a[pr] = pivot
         pivots.append(col)
         pr += 1
     return MatrixGF(field, a), pr, tuple(pivots)

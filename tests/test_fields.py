@@ -197,6 +197,32 @@ def test_modulus_scan_matches_naive_irreducibility():
         assert default_modulus(p, degree) == expected
 
 
+def _unscreened_modulus(p, degree):
+    """The first monic candidate that passes the Rabin test, every
+    candidate tested."""
+    for m in range(p**degree):
+        coeffs = [(m // p**i) % p for i in range(degree)] + [1]
+        if is_irreducible(coeffs, p):
+            return tuple(coeffs)
+    return None
+
+
+def test_root_screen_keeps_the_lowest_irreducible():
+    # passing over candidates with a root in GF(p) must not change the
+    # modulus of any field the package can build (order <= 2^16)
+    limit = 1 << 16
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for i in range(2, 257):
+        if sieve[i]:
+            sieve[i * i :: i] = False
+    primes = np.flatnonzero(sieve).tolist()
+    cases = [(p, d) for p in primes for d in range(1, 17) if p**d <= limit]
+    assert len(cases) == 6635 and len([c for c in cases if c[1] > 1]) == 93
+    for p, degree in cases:
+        assert default_modulus(p, degree) == _unscreened_modulus(p, degree), (p, degree)
+
+
 def test_is_irreducible_agrees_with_naive():
     rng = random.Random(7)
     for p, degree in [(2, 4), (3, 3), (5, 2)]:

@@ -4,6 +4,7 @@ import itertools
 import random
 from decimal import Decimal, localcontext
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -170,6 +171,47 @@ def test_threshold_matches_brute_rescan(params):
     else:
         got = gv_threshold(*params)
         assert (got.dz_threshold, got.dx_threshold) == want
+
+
+def double_loop_threshold(q, n, k1, k2, c):
+    """The integer-numerator double loop over the whole grid that
+    gv_threshold once ran, before its one-pass walk."""
+    f1, f2 = _fractions(q, n, k1, k2, c)
+    one = q**n - 1
+    sums = [0] * (n + 3)
+    for d in range(2, n + 3):
+        sums[d] = sums[d - 1] + comb(n, d - 1) * (q - 1) ** (d - 1)
+    best = None
+    for d1 in range(1, n + 2):
+        for d2 in range(1, n + 2):
+            here = f1 * sums[d1] + f2 * sums[d2]
+            if here >= one:
+                break
+            up = f1 * sums[d1 + 1] + f2 * sums[d2]
+            right = f1 * sums[d1] + f2 * sums[d2 + 1]
+            if (up >= one or right >= one) and (best is None or (d1, d2) > best):
+                best = (d1, d2)
+    return best
+
+
+def test_one_pass_threshold_matches_double_loop():
+    # every valid (k1, k2, c) for small q and n, which holds the empty
+    # cases (k = n - k1 - k2 + c = 0 makes both weights zero) and pairs
+    # with d1 = 1 or d2 = 1, then random larger shapes
+    shapes = [
+        (q, n, k1, k2, c)
+        for q in (2, 3, 4, 5, 7)
+        for n in range(1, 10)
+        for k1 in range(n + 1)
+        for k2 in range(n + 1)
+        for c in range(max(0, k1 + k2 - n), min(k1, k2) + 1)
+    ]
+    shapes += list(_random_shapes(300, seed=19))
+    results = [double_loop_threshold(*shape) for shape in shapes]
+    assert None in results
+    assert {1} <= {r[0] for r in results if r} and {1} <= {r[1] for r in results if r}
+    for shape, want in zip(shapes, results):
+        assert _threshold_or_none(*shape) == want, shape
 
 
 def test_threshold_pair_is_certifiable_member():

@@ -249,6 +249,28 @@ def test_rref_early_stop_matches_full_sweep_on_tall_matrices(monkeypatch):
         assert rref(m) == _rref_oracle(m)
 
 
+@pytest.mark.parametrize("p,deg", [(2, 1), (5, 1), (2, 2), (3, 2), (5, 2)])
+def test_rref_matches_gauss_jordan(p, deg):
+    # the reduced matrix, rank and pivots of tall, wide, square, zero and
+    # empty matrices, and of rank-deficient products B·C with an inner
+    # dimension below both sides, against the row-by-row oracle
+    F = field_create(p, deg)
+    rng = random.Random(p * 100 + deg)
+    shapes = [(7, 3), (3, 7), (5, 5), (12, 2), (1, 6), (6, 1)]
+    mats = [_random_matrix(F, rng, r, c) for r, c in shapes]
+    mats += [MatrixGF.zeros(F, r, c) for r, c in [(3, 4), (1, 1), (5, 2), (0, 4), (4, 0)]]
+    for rows, inner, cols in [(6, 2, 5), (4, 1, 7), (8, 3, 3), (3, 2, 9)]:
+        mats.append(mat_mul(_random_matrix(F, rng, rows, inner), _random_matrix(F, rng, inner, cols)))
+    sparse = _random_matrix(F, rng, 6, 8).entries.copy()
+    sparse[[1, 4]] = 0  # zero rows between others, and a repeated row
+    sparse[:, [0, 5]] = 0
+    sparse[3] = sparse[2]
+    mats.append(MatrixGF(F, sparse))
+    assert any(rank(m) < min(m.shape) for m in mats if m.rows and m.cols and m.entries.any())
+    for m in mats:
+        assert rref(m) == _rref_oracle(m), m
+
+
 def test_intersection_dimension_formula():
     rng = random.Random(11)
     F = field_create(5, 1)

@@ -112,7 +112,8 @@ def test_wide_and_odd_extension_fields(n, q, labels1, labels2, monkeypatch):
 def test_certificate_that_closes_only_at_the_last_level(monkeypatch):
     # [10, 3, 8] Reed-Solomon over GF(11): after level t every unvisited
     # word weighs at least ceil((t + 1) * 10 / 3), which is 7 < 8 at t = 1,
-    # so the search needs level 2 = K - 1, where that bound reaches n
+    # so the search needs level 2 = K - 1, where that bound reaches n.
+    # Level 1 is read off the rows, so only level 2 generates messages
     a = coset_code(10, 11, [0, 1, 2])
     assert (a.k, a.n) == (3, 10)
     levels = []
@@ -125,16 +126,37 @@ def test_certificate_that_closes_only_at_the_last_level(monkeypatch):
     monkeypatch.setattr(enumeration, "_messages", spy)
     zero = LinearCode.zero(a.field, 10)
     assert _check(a, zero, monkeypatch).value == 8
-    assert sorted(set(levels)) == [1, 2]
-    # a one-dimensional code walks to t = K itself
+    assert sorted(set(levels)) == [2]
+    # a one-dimensional code stops at t = K = 1, read off its one row
     levels.clear()
     rep = coset_code(10, 11, [0])
     assert _check(rep, zero, monkeypatch).value == 10
-    assert levels == [1]
+    assert levels == []
     # with b the [10, 2, 9] cyclic subcode, the words of a inside b are
     # passed over and the minimum stays 8
     sub = coset_code(10, 11, [0, 1])
     assert _check(a, sub, monkeypatch).value == 8
+
+
+@pytest.mark.parametrize(
+    "q,n,labels1,labels2",
+    [
+        (2, 15, (0, 1, 3), (5,)),  # [15, 9]: a row of weight 3 <= ceil(30 / 9)
+        (4, 15, (0, 1, 2, 3, 5, 6, 7), (1,)),
+        (9, 16, (0, 1), (2,)),  # [16, 3]: 8 <= ceil(32 / 3)
+        (3, 13, (0, 1), (1,)),  # one of the four rows lies in b
+    ],
+)
+def test_level_one_certificate_packs_no_lanes(q, n, labels1, labels2, monkeypatch):
+    # when the lightest row of nonzero syndrome meets ceil(2n / K), the
+    # search ends at level 1 without lanes, packed tables or messages
+    a, b = coset_code(n, q, labels1), coset_code(n, q, labels2)
+    with monkeypatch.context() as m:
+        for name in ("_Lanes", "_lanes", "_messages", "_combine"):
+            m.setattr(enumeration, name, _forbidden)
+        level_one = relative_min_weight(a, b)
+    assert level_one.value <= -(-2 * n // a.k)
+    assert level_one == _check(a, b, monkeypatch)
 
 
 @pytest.mark.parametrize(
