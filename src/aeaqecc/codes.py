@@ -2,7 +2,7 @@
 
 A code is stored by the reduced row echelon form of its generator matrix,
 so two codes are equal exactly when they describe the same row space.
-Minimum weights come from an exhaustive scan of the codeword set.  A
+A minimum weight is the relative minimum weight against the zero code.  A
 relative minimum weight of a and b starts from one product, the
 syndromes S = H_b·G_aᵀ of a's rows against b: S = 0 says a lies in b.
 For two cyclic codes the window search then certifies the minimum from
@@ -142,17 +142,14 @@ class LinearCode:
 
 
 def min_weight(code: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:
-    """Exact minimum Hamming weight by exhaustive enumeration.
+    """Exact minimum Hamming weight, as the relative minimum weight
+    against the zero code: its parity check is I_n, so S = Gᵀ, and a
+    cyclic code takes the window search, any other code the scan.
 
     The zero code has no nonzero codeword, reported as the empty marker.
     Raises BudgetExceededError before visiting anything when q^k > budget.
     """
-    if code.k == 0:
-        return WeightReport(value=None, exact=True, enumerated=0)
-    value, visited = minimum_weight_scan(code.gen.entries, code.field, budget=budget)
-    if value is None:
-        raise RuntimeError("a nonzero code must have a nonzero word")
-    return WeightReport(value=value, exact=True, enumerated=visited)
+    return relative_min_weight(code, LinearCode.zero(code.field, code.n), budget)
 
 
 def relative_min_weight(a: LinearCode, b: LinearCode, budget: int = DEFAULT_BUDGET) -> WeightReport:

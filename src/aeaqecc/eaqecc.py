@@ -214,16 +214,18 @@ def enlargement_demo(
     Over a field with q >= 4 elements and n = q - 1, the pair
     (E_{2}, E_{0, n-1}) of evaluation codes has dz = 2; replacing the
     first code by E_{1, 2} gives dz >= 3 at the same k and dx.  At q = 4
-    the length is too short and the construction degenerates.
+    the length is too short and the construction degenerates.  The codes
+    are cyclic: mod q - 1 every q-cyclotomic coset is a singleton and
+    GF(q) holds the n-th roots of unity, so coset_code builds them.
     """
-    from .bch import evaluation_code
+    from .bch import coset_code
 
     if field.order < 4:
         raise ValueError("demonstration needs a field with at least 4 elements")
-    n = field.order - 1
-    c1 = evaluation_code(field, n, [2]).code
-    c2 = evaluation_code(field, n, [0, n - 1]).code
-    enlarged = evaluation_code(field, n, [1, 2]).code
+    q, n = field.order, field.order - 1
+    c1 = coset_code(n, q, [2])
+    c2 = coset_code(n, q, [0, n - 1])
+    enlarged = coset_code(n, q, [1, 2])
     before = asym_params(c1, c2, budget=budget)
     after = asym_params(enlarged, c2, budget=budget)
     if after.dx != before.dx:

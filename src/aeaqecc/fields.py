@@ -13,8 +13,9 @@ q x q addition and multiplication tables, built on first use, for the
 vectorized linear algebra elsewhere in the package.
 
 Tables and subfield embeddings are built with array operations over all
-encodings at once; only the batches of generator candidates and the walk
-along the generator's powers are loops.
+encodings at once; only the batches of generator candidates, the walk
+along the generator's powers and the trace table, which only the tests'
+trace route reads, are loops.
 """
 
 from __future__ import annotations
@@ -130,20 +131,9 @@ def _poly_powmod(base: list[int], e: int, mod: list[int], p: int) -> list[int]:
 
 
 def _poly_gcd(a: list[int], b: list[int], p: int) -> list[int]:
-    a, b = list(a), list(b)
     while b:
         inv_lead = pow(b[-1], -1, p)
-        b_monic = [(c * inv_lead) % p for c in b]
-        r = list(a)
-        d = len(b_monic) - 1
-        while len(r) > d:
-            lead = r[-1]
-            if lead:
-                shift = len(r) - 1 - d
-                for i in range(d):
-                    r[shift + i] = (r[shift + i] - lead * b_monic[i]) % p
-            r.pop()
-        a, b = b, _poly_trim(r)
+        a, b = b, _poly_rem(a, [(c * inv_lead) % p for c in b], p)
     return a
 
 
@@ -474,7 +464,7 @@ def _horner(field: FiniteField, coeffs, x) -> np.ndarray:
 class SubfieldEmbedding:
     """GF(p^r) inside GF(p^l), r | l, via the lowest-encoded modulus root.
 
-    embed() maps small-field encodings to big-field encodings; retract()
+    _embed maps small-field encodings to big-field encodings; retract()
     inverts it on the image; relative_trace() sends a big-field element to
     the small field through the trace of the extension, and trace_table
     holds that map for every big-field element at once.
@@ -496,9 +486,6 @@ class SubfieldEmbedding:
         self._retract = np.full(big.order, -1, dtype=np.int64)
         self._retract[self._embed] = values
 
-    def embed(self, value: int) -> int:
-        return int(self._embed[self.small.check_value(value)])
-
     def retract(self, value: int) -> int:
         x = int(self._retract[value]) if 0 <= value < self.big.order else -1
         if x < 0:
@@ -514,24 +501,10 @@ class SubfieldEmbedding:
     def trace_table(self) -> np.ndarray:
         """relative_trace of every big-field encoding, as a read-only array.
 
-        The Frobenius images v^(Q^i) are multiples of log v, and their sum
-        is taken digit by digit mod p, so no pair table is needed.
+        Built once per embedding by the scalar trace; it serves the trace
+        route that the tests keep as the oracle of the cyclic codes.
         """
-        big, small = self.big, self.small
-        p, units = big.p, big.order - 1
-        powers = p ** np.arange(big.degree, dtype=np.int64)
-        logs = big._log[1:]
-        digits = np.zeros((units, big.degree), dtype=np.int64)
-        e = 1
-        for _ in range(big.degree // small.degree):
-            images = big._exp[(logs * e) % units]
-            digits += (images[:, None] // powers[None, :]) % p
-            e = (e * small.order) % units
-        sums = np.zeros(big.order, dtype=np.int64)
-        sums[1:] = ((digits % p) * powers[None, :]).sum(axis=1)
-        table = self._retract[sums]
-        if (table < 0).any():
-            raise RuntimeError(f"trace from {big} left the embedded copy of {small}")
+        table = np.array([self.relative_trace(v) for v in range(self.big.order)], dtype=np.int64)
         table.flags.writeable = False
         return table
 

@@ -96,24 +96,23 @@ def gv_threshold(q: int, n: int, k1: int, k2: int, c: int) -> ThresholdPair:
 
     The sphere sums grow with d, so for each d1 the pairs below 1 are
     d2 <= last(d1), and last only grows as d1 falls.  One walk of d1 from
-    n+1 down, with last moved up alongside, stops at the first d1 that
-    qualifies, paired with last(d1): that pair qualifies through its right
-    neighbor unless last = n+1, and then only through its upper one, which
-    no smaller d2 could do either.
+    n+1 down, with last moved up alongside, stops at the first d1 with
+    1 <= last(d1) <= n, which qualifies through its right neighbor.  last
+    reaches n+1 only when k = n - k1 - k2 + c = 0: then f1 = f2 = 0 and
+    every sum is 0, while for k > 0, f2 >= 1 and the sphere sum at n+1
+    counts all q^n - 1 nonzero words.
     """
     _validate_shape(q, n, k1, k2, c)
     f1, f2 = _fractions(q, n, k1, k2, c)
     one = q**n - 1  # the sums below are numerators over this denominator
-    # prefix sums up to the off-grid neighbor d = n+2; the i > n binomials
-    # vanish, so that last entry repeats and edge pairs drop out naturally
-    sums = [0] * (n + 3)
-    for d in range(2, n + 3):
+    sums = [0] * (n + 2)  # sums[n+1] = q^n - 1, all nonzero words
+    for d in range(2, n + 2):
         sums[d] = sums[d - 1] + comb(n, d - 1) * (q - 1) ** (d - 1)
     last = 0
     for d1 in range(n + 1, 0, -1):
         while last <= n and f1 * sums[d1] + f2 * sums[last + 1] < one:
             last += 1
-        if last and (last <= n or f1 * sums[d1 + 1] + f2 * sums[last] >= one):
+        if 0 < last <= n:
             return ThresholdPair(d1, last)
     raise ThresholdEmptyError(
         f"no threshold pair for q={q}, n={n}, k1={k1}, k2={k2}, c={c}"

@@ -25,12 +25,11 @@ class MatrixGF:
     __slots__ = ("field", "_a")
 
     def __init__(self, field: FiniteField, entries: np.ndarray):
-        a = np.asarray(entries, dtype=_ENTRY_DTYPE)
+        a = np.array(entries, dtype=_ENTRY_DTYPE)  # always a copy, never the caller's array
         if a.ndim != 2:
             raise ValueError(f"need a 2-d entry grid, got shape {a.shape}")
         if a.size and (a.min() < 0 or a.max() >= field.order):
             raise ValueError(f"entries outside 0..{field.order - 1}")
-        a = a.copy()
         a.flags.writeable = False
         self.field = field
         self._a = a
@@ -69,9 +68,6 @@ class MatrixGF:
     def entries(self) -> np.ndarray:
         """Read-only entry grid."""
         return self._a
-
-    def entry(self, i: int, j: int) -> int:
-        return int(self._a[i, j])
 
     def row(self, i: int) -> tuple[int, ...]:
         return tuple(int(v) for v in self._a[i])

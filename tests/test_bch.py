@@ -139,7 +139,7 @@ def test_evaluation_pairing():
         for b in range(15):
             acc = 0
             for i in range(15):
-                acc = f16.add(acc, f16.mul(ev.gen.entry(a, i), ev.gen.entry(b, i)))
+                acc = f16.add(acc, f16.mul(ev.gen.entries[a, i], ev.gen.entries[b, i]))
             expected = n_in_field if (a + b) % 15 == 0 else 0
             assert acc == expected
 

@@ -7,6 +7,7 @@ import pytest
 from test_codes import HAMMING_7_4, naive_min_weight
 
 from aeaqecc import codes, eaqecc
+from aeaqecc.bch import coset_code, evaluation_code
 from aeaqecc.codes import LinearCode, WeightReport
 from aeaqecc.eaqecc import (
     AsymEaqeccParams,
@@ -18,7 +19,7 @@ from aeaqecc.eaqecc import (
 )
 from aeaqecc.enumeration import DEFAULT_BUDGET
 from aeaqecc.errors import BudgetExceededError, DegeneratePairError, FieldMismatchError
-from aeaqecc.fields import field_create
+from aeaqecc.fields import field_create, prime_power_decomposition
 from aeaqecc.linalg import MatrixGF
 
 FIELDS = [(2, 1), (3, 1), (2, 2), (5, 1), (7, 1), (2, 3), (3, 2)]
@@ -327,3 +328,14 @@ def test_pair_mismatch_rejected():
     c = LinearCode.from_rows(f2, [[1, 0, 1]])
     with pytest.raises(ValueError):
         asym_params(a, c)
+
+
+@pytest.mark.parametrize("q", [5, 7, 8, 9, 16, 25])
+def test_enlargement_codes_are_the_evaluation_codes(q):
+    # mod q - 1 every q-cyclotomic coset is a singleton and the splitting
+    # field is GF(q), so the cyclic codes enlargement_demo builds are the
+    # evaluation codes E_{2}, E_{0, n-1} and E_{1, 2} themselves
+    field = field_create(*prime_power_decomposition(q))
+    n = q - 1
+    for delta in ([2], [0, n - 1], [1, 2]):
+        assert coset_code(n, q, delta) == evaluation_code(field, n, delta).code

@@ -214,6 +214,18 @@ def test_one_pass_threshold_matches_double_loop():
         assert _threshold_or_none(*shape) == want, shape
 
 
+def test_threshold_empty_exactly_when_k_is_zero():
+    # f1 and f2 vanish together exactly when k = n - k1 - k2 + c = 0; for
+    # k > 0 the sum at d = n + 1 reaches 1, so no coordinate is n + 1
+    for q in (2, 3, 4, 5, 7):
+        for n in range(1, 10):
+            for k1, k2 in itertools.product(range(n + 1), repeat=2):
+                for c in range(max(0, k1 + k2 - n), min(k1, k2) + 1):
+                    got = _threshold_or_none(q, n, k1, k2, c)
+                    assert (got is None) == (n - k1 - k2 + c == 0)
+                    assert got is None or n + 1 not in got
+
+
 def test_threshold_pair_is_certifiable_member():
     pair = gv_threshold(5, 24, 5, 3, 3)
     base = dict(q=5, n=24, k1=5, k2=3, c=3)

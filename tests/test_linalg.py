@@ -37,7 +37,7 @@ def _naive_mat_mul(a, b):
         for j in range(b.cols):
             acc = 0
             for l in range(a.cols):
-                acc = f.add(acc, f.mul(a.entry(i, l), b.entry(l, j)))
+                acc = f.add(acc, f.mul(a.entries[i, l], b.entries[l, j]))
             out[i][j] = acc
     return MatrixGF.from_rows(f, out) if out else MatrixGF.zeros(f, 0, b.cols)
 
@@ -142,7 +142,7 @@ def test_entries_of_the_widest_field_round_trip():
     # GF(2^16) holds 65535, above any 16-bit signed entry
     F = field_create(2, 16)
     m = MatrixGF.from_rows(F, [[65535, 0], [1, 32768]])
-    assert m.entry(0, 0) == 65535 and m.row(1) == (1, 32768)
+    assert m.entries[0, 0] == 65535 and m.row(1) == (1, 32768)
     assert m.transpose().row(0) == (65535, 1)
     assert MatrixGF(F, m.entries) == m
     with pytest.raises(ValueError, match="outside"):
@@ -206,8 +206,8 @@ def test_mat_mul_memory_is_bounded_by_row_chunks():
     for i, j in [(0, 0), (199, 199), (17, 123), (150, 3)]:
         acc = 0
         for l in range(255):
-            acc = F.add(acc, F.mul(a.entry(i, l), b.entry(l, j)))
-        assert prod.entry(i, j) == acc
+            acc = F.add(acc, F.mul(a.entries[i, l], b.entries[l, j]))
+        assert prod.entries[i, j] == acc
 
 
 def test_mat_vec_matches_mat_mul():

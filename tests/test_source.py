@@ -3,6 +3,7 @@
 import ast
 import importlib
 import types
+from collections import Counter
 from pathlib import Path
 
 import aeaqecc
@@ -55,8 +56,8 @@ def test_only_linalg_binds_rref():
     assert [m for m in names if "rref" in vars(importlib.import_module(m))] == []
 
 
-# Module-level names that stay although nothing in the package reaches
-# them, each with the reason it stays.
+# Module-level names, and methods as "Class.method", that stay although
+# nothing in the package reaches them, each with the reason it stays.
 _UNREACHED_BY_DESIGN = {
     "multiplicative_order": "oracle for primitive_nth_root in the tests",
     "row_space_intersect": "Zassenhaus oracle for the intersections and "
@@ -88,5 +89,39 @@ def test_every_module_level_name_is_reached():
         and node.name not in wrapped
         and node.name not in _UNREACHED_BY_DESIGN
         and not any(node.name in used for _, other, used in top if other is not node)
+    ]
+    assert unreached == []
+
+
+def _names(node) -> Counter:
+    """Every name and attribute name used under node, with its count."""
+    return Counter(
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    )
+
+
+def test_every_method_is_reached():
+    # the same rule one level down: a method of a class the package does
+    # not export that nothing else in the package names is reached only
+    # by its own tests; dunder methods run through the language
+    wrapped = {attr for _, attr in _load_tracer().wrapped_attributes(aeaqecc)}
+    trees = [
+        ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for path in sorted(Path(aeaqecc.__file__).parent.glob("*.py"))
+    ]
+    used = sum((_names(tree) for tree in trees), Counter())
+    unreached = [
+        f"{cls.name}.{node.name}"
+        for tree in trees
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and cls.name not in aeaqecc.__all__
+        for node in cls.body
+        if isinstance(node, ast.FunctionDef)
+        and not (node.name.startswith("__") and node.name.endswith("__"))
+        and node.name not in wrapped
+        and f"{cls.name}.{node.name}" not in _UNREACHED_BY_DESIGN
+        and used[node.name] == _names(node)[node.name]
     ]
     assert unreached == []

@@ -296,3 +296,26 @@ def test_window_batches_stay_capped(monkeypatch):
     monkeypatch.setattr(enumeration, "_BLOCK_TARGET", 4)
     assert _check(a, zero, monkeypatch).value == 8
     assert sizes and max(sizes) <= 4
+
+
+def test_min_weight_walks_a_cyclic_code_and_scans_any_other(monkeypatch):
+    # min_weight is the relative minimum weight against the zero code: a
+    # cyclic code takes the window search, any other code the scan, and
+    # both give the plain scan's value and words covered
+    cyclic = coset_code(15, 2, [1])
+    plain = _permuted(cyclic, [1, 0] + list(range(2, 15)))
+    assert not plain.is_cyclic
+    walks = []
+    windows = enumeration._windows
+
+    def spy(*args):
+        walks.append(args)
+        return windows(*args)
+
+    monkeypatch.setattr(enumeration, "_windows", spy)
+    for code, walked in [(cyclic, 1), (plain, 0)]:
+        walks.clear()
+        value, visited = enumeration.minimum_weight_scan(code.gen.entries, code.field)
+        assert not walks
+        assert codes.min_weight(code) == WeightReport(value=value, exact=True, enumerated=visited)
+        assert len(walks) == walked
