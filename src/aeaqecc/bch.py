@@ -220,16 +220,18 @@ def dual_defining_set(structure: CosetStructure, delta: Iterable[int]) -> tuple[
 
 # -- cyclic codes from their defining sets ------------------------------
 
-def _log_tables(field: FiniteField) -> tuple[list, list, list | None]:
-    """exp and log of field as lists, and for an odd extension field the
+@lru_cache(maxsize=None)
+def _log_tables(field: FiniteField) -> tuple[tuple, tuple, tuple | None]:
+    """exp and log of field as tuples, and for an odd extension field the
     Zech logs zech[i] = log(1 + g^i), -1 where 1 + g^i = 0.  Adding 1
-    changes digit 0 of an encoding alone, so zech is two array steps."""
+    changes digit 0 of an encoding alone, so zech is two array steps.
+    Built once per field and read-only, as every caller shares them."""
     exp, log, zech = field._exp, field._log, None
     if field.p != 2 and field.degree > 1:
         units = exp[: field.order - 1]
         low = units % field.p
-        zech = log[units - low + (low + 1) % field.p].tolist()
-    return exp.tolist(), log.tolist(), zech
+        zech = tuple(log[units - low + (low + 1) % field.p].tolist())
+    return tuple(exp.tolist()), tuple(log.tolist()), zech
 
 
 def _poly_mul(field: FiniteField, tables: tuple, a: list, b: list) -> list:
@@ -345,6 +347,31 @@ class CyclicCode(LinearCode):
         code._set(self.structure, dual_defining_set(self.structure, self.delta), self.field, gen)
         code.parity_check = self.gen
         return code
+
+    def _negated_delta(self, other: LinearCode) -> set[int] | None:
+        """-delta when other is a CyclicCode on the same (n, q), else None."""
+        if not (isinstance(other, CyclicCode)
+                and (other.n, other.structure.q) == (self.n, self.structure.q)):
+            return None
+        return {(-a) % self.n for a in self.delta}
+
+    def pairing_rank(self, other: LinearCode) -> int:
+        """|delta_other ∩ (-delta)| against a cyclic code on the same
+        cosets: dual(self) ∩ other is the cyclic code on
+        delta_other \\ (-delta), of dimension k_other - rank(G·G_otherᵀ)."""
+        negated = self._negated_delta(other)
+        if negated is None:
+            return super().pairing_rank(other)
+        return len(negated.intersection(other.delta))
+
+    def mirrors(self, other: LinearCode) -> bool:
+        """delta_other is delta or -delta for a cyclic code on the same
+        cosets: reading coordinates backwards maps the code on delta to
+        the code on -delta, and distinct sets give distinct codes."""
+        negated = self._negated_delta(other)
+        if negated is None:
+            return super().mirrors(other)
+        return other.delta == self.delta or set(other.delta) == negated
 
 
 def _identity(k: int, n: int) -> np.ndarray:
@@ -503,9 +530,11 @@ def bch_asym_code(
     of the first s+1.
 
     C1 collects the cosets of a_0..a_t; C2 collects the reciprocal cosets
-    of a_0..a_s, which makes c coincide with dim C2.  Distances default to
-    the consecutive-run floors a_(t+1)+1 and a_(s+1)+1 and are upgraded
-    to exact values when the enumeration budget allows.
+    of a_0..a_s, so delta2 lies in -delta1 and c = |delta2 ∩ (-delta1)|
+    is dim C2 (the tests check this against the rank of G1·G2ᵀ).
+    Distances default to the consecutive-run floors a_(t+1)+1 and
+    a_(s+1)+1 and are upgraded to exact values when the enumeration
+    budget allows.
     """
     _check_coset_indices(structure, s, t)
     delta1 = structure.closure(structure.reps[: t + 1])
@@ -515,18 +544,8 @@ def bch_asym_code(
     c2 = CyclicCode(structure, delta2)
     dz_bound = bch_bound(structure, t)
     dx_bound = structure.reps[s + 1] + 1
-    params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
-    k1 = sum(structure.sizes[: t + 1])
-    k2 = sum(structure.sizes[: s + 1])
-    if (params.k1, params.k2) != (k1, k2):
-        raise RuntimeError(
-            f"dimensions ({params.k1}, {params.k2}) differ from the coset "
-            f"sizes ({k1}, {k2})"
-        )
-    if params.c != k2:  # the pairing with reciprocal cosets is full rank
-        raise RuntimeError(f"c = {params.c} differs from dim C2 = {k2}")
     return BchConstruction(
-        params=params,
+        params=asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound),
         c1=c1,
         c2=c2,
         delta1=delta1,

@@ -124,6 +124,18 @@ class LinearCode:
             return True
         return not mat_vec(self.parity_check, v).any()
 
+    def pairing_rank(self, other: "LinearCode") -> int:
+        """rank(G·G_otherᵀ) for a code of the same field and length."""
+        return rank(mat_mul(self.gen, other.gen.transpose()))
+
+    def mirrors(self, other: "LinearCode") -> bool:
+        """other is this code or this code read backwards, for a code of
+        the same field, length and dimension: H·reversed(G_other)ᵀ = 0."""
+        if self == other:
+            return True
+        reversed_other = MatrixGF(other.field, other.gen.entries[:, ::-1])
+        return not mat_mul(self.parity_check, reversed_other.transpose()).entries.any()
+
     def is_subcode_of(self, other: "LinearCode") -> bool:
         if self.field != other.field or self.n != other.n:
             return False

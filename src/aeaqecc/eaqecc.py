@@ -2,9 +2,12 @@
 
 A pair of classical codes C1, C2 of the same length over the same field
 determines an asymmetric EAQECC with parameters [[n, n-k1-k2+c, dz/dx; c]]_q
-where c is the rank of the pairing between the two codes,
+where c is the rank of the pairing G1·G2ᵀ between the two codes,
 dz is the minimum weight of dual(C1) outside C2, and dx the minimum
-weight of dual(C2) outside C1.  This module computes those parameters,
+weight of dual(C2) outside C1.  For two cyclic codes on the same
+cyclotomic cosets, with defining sets Δ1 and Δ2, no product is formed:
+dual(C1) ∩ C2 is the cyclic code on Δ2 \\ (-Δ1), so c = |Δ2 ∩ (-Δ1)|
+(bch.CyclicCode).  This module computes those parameters,
 the symplectic-rank form of c, the puncturing trade-off, and a small
 demonstration that growing C1 raises dz without touching dx.
 """
@@ -69,10 +72,13 @@ def entanglement_c(c1: LinearCode, c2: LinearCode) -> int:
     """Number of entangled pairs the code pair consumes.
 
     This is the rank of G1 G2^T for any generator matrices of the two
-    codes; it vanishes exactly when C2 is orthogonal to C1.
+    codes; it vanishes exactly when C2 is orthogonal to C1.  Two cyclic
+    codes on the same cosets read it off their defining sets as
+    |Δ2 ∩ (-Δ1)|, with no product and no elimination; any other pair
+    takes the rank (LinearCode.pairing_rank).
     """
     _check_pair(c1, c2)
-    return rank(mat_mul(c1.gen, c2.gen.transpose()))
+    return c1.pairing_rank(c2)
 
 
 def _relative_or_floor(c1: LinearCode, c2: LinearCode, budget, floor, label):
@@ -91,14 +97,6 @@ def _relative_or_floor(c1: LinearCode, c2: LinearCode, budget, floor, label):
     return report
 
 
-def _mirrored(c1: LinearCode, c2: LinearCode) -> bool:
-    """C2 is C1 or C1 read backwards, for codes of equal dimension."""
-    if c1 == c2:
-        return True
-    reversed2 = MatrixGF(c2.field, c2.gen.entries[:, ::-1])
-    return not mat_mul(c1.parity_check, reversed2.transpose()).entries.any()
-
-
 def asym_params(
     c1: LinearCode,
     c2: LinearCode,
@@ -109,20 +107,25 @@ def asym_params(
 ) -> AsymEaqeccParams:
     """Parameters of the asymmetric EAQECC built from (C1, C2).
 
-    First, k = n - k1 - k2 + c = 0 raises DegeneratePairError at any
-    budget: dim(dual(C1) ∩ C2) = k2 - c is then n - k1, so dual(C1) lies
-    in C2, and likewise dual(C2) in C1.  Then a distance whose scan
-    exceeds the budget (q^(n-k1) words for dz, q^(n-k2) for dx) is
-    refused before any dual is built: dz_floor or dx_floor, an algebraic
-    lower bound, is reported with exact=False, and without a floor the
-    budget error propagates.
+    c is entanglement_c: |Δ2 ∩ (-Δ1)| for two cyclic codes on the same
+    cosets, so such a pair meets no elimination here, and the rank of
+    G1·G2ᵀ for any other pair.  First, k = n - k1 - k2 + c = 0 raises
+    DegeneratePairError at any budget: dim(dual(C1) ∩ C2) = k2 - c is
+    then n - k1, so dual(C1) lies in C2, and likewise dual(C2) in C1.
+    Then a distance whose scan exceeds the budget (q^(n-k1) words for dz,
+    q^(n-k2) for dx) is refused before any dual is built: dz_floor or
+    dx_floor, an algebraic lower bound, is reported with exact=False, and
+    without a floor the budget error propagates.
 
     With k1 = k2 and equal floors, dx is dz without a second scan when
     C2 is C1 or C1 read backwards: reversing coordinates maps dual(C1)
     onto dual(C2) and C2 onto C1, so dual(C2) \\ C1 is dual(C1) \\ C2
     read backwards, of the same weights, and both scans cover
     q^(n-k1) - 1 words.  A refused dz means a refused dx, with the same
-    floor.
+    floor.  Reversal maps the cyclic code on Δ to the code on -Δ, so two
+    cyclic codes on the same cosets are mirrored exactly when
+    Δ2 ∈ {Δ1, -Δ1}; any other pair is tested by one product
+    (LinearCode.mirrors).
     """
     c = entanglement_c(c1, c2)  # checks the pair
     n, k1, k2 = c1.n, c1.k, c2.k
@@ -132,7 +135,7 @@ def asym_params(
             "dz is undefined: dual code lies inside the other code"
         )
     dz = _relative_or_floor(c1, c2, budget, dz_floor, "dz")
-    if k1 == k2 and dz_floor == dx_floor and (not dz.exact or _mirrored(c1, c2)):
+    if k1 == k2 and dz_floor == dx_floor and (not dz.exact or c1.mirrors(c2)):
         dx = dz
     else:
         dx = _relative_or_floor(c2, c1, budget, dx_floor, "dx")
@@ -216,13 +219,16 @@ def enlargement_demo(
     first code by E_{1, 2} gives dz >= 3 at the same k and dx.  At q = 4
     the length is too short and the construction degenerates.  The codes
     are cyclic: mod q - 1 every q-cyclotomic coset is a singleton and
-    GF(q) holds the n-th roots of unity, so coset_code builds them.
+    GF(q) holds the n-th roots of unity, so coset_code builds them.  A
+    budget too small for the first scan, q^(n-1) words, is refused before
+    any code is built.
     """
     from .bch import coset_code
 
     if field.order < 4:
         raise ValueError("demonstration needs a field with at least 4 elements")
     q, n = field.order, field.order - 1
+    check_budget(q, n - 1, budget)  # asym_params' first check, before any code
     c1 = coset_code(n, q, [2])
     c2 = coset_code(n, q, [0, n - 1])
     enlarged = coset_code(n, q, [1, 2])

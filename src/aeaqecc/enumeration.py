@@ -85,9 +85,10 @@ else:  # pragma: no cover
 
 def check_budget(q: int, k: int, budget: int) -> int:
     """q^k, the words a scan of k rows covers; above budget it raises."""
-    if q**k > budget:
-        raise BudgetExceededError(q**k, budget)
-    return q**k
+    words = q**k
+    if words > budget:
+        raise BudgetExceededError(q, k, budget)
+    return words
 
 
 def minimum_weight_scan(

@@ -6,14 +6,21 @@ class FieldMismatchError(ValueError):
 
 
 class BudgetExceededError(RuntimeError):
-    """An exhaustive enumeration would visit more codewords than allowed."""
+    """An exhaustive enumeration would visit more codewords than allowed.
 
-    def __init__(self, required: int, budget: int):
+    required is the exact count q^k; the message writes it as q^k, since
+    in decimal it can run past the digits Python converts to text.
+    """
+
+    def __init__(self, q: int, k: int, budget: int):
         super().__init__(
-            f"enumeration needs {required} codeword visits, budget is {budget}"
+            f"enumeration needs {q}^{k} codeword visits, budget is {budget}"
         )
-        self.required = required
-        self.budget = budget
+        self.q, self.k, self.budget = q, k, budget
+
+    @property
+    def required(self) -> int:
+        return self.q**self.k
 
 
 class DegeneratePairError(ValueError):

@@ -52,6 +52,7 @@ def is_prime(p: int) -> bool:
     return p >= 2 and _prime_factors(p) == [p]
 
 
+@lru_cache(maxsize=None)
 def prime_power_decomposition(q: int) -> tuple[int, int]:
     """Write q as p^r with p prime, or raise ValueError."""
     if q < 2:
@@ -310,11 +311,6 @@ class FiniteField:
         return mul
 
     # -- scalar operations ----------------------------------------------
-
-    def check_value(self, a: int) -> int:
-        if not 0 <= a < self.order:
-            raise ValueError(f"{a} is not an element encoding of {self}")
-        return a
 
     def add(self, a: int, b: int) -> int:
         if self._add2 is not None:

@@ -268,8 +268,8 @@ def test_cyclic_code_matches_trace_route():
 
 
 def test_coset_codes_need_no_elimination(monkeypatch):
-    # coset_code reads its reduced generator off the generator polynomial;
-    # bch_asym_code eliminates once, for the rank in entanglement_c
+    # coset_code reads its reduced generator off the generator polynomial,
+    # and bch_asym_code reads c and the mirror test off the defining sets
     calls = []
     original = linalg.rref
 
@@ -285,8 +285,7 @@ def test_coset_codes_need_no_elimination(monkeypatch):
     for n, q, s, t in [(15, 4, 0, 1), (24, 5, 1, 2), (33, 2, 0, 1)]:
         built = bch_asym_code(cyclotomic_cosets(n, q), s, t)
         built.c1.dual(), built.c2.dual()
-        assert len(calls) == 1
-        calls.clear()
+    assert calls == []
 
 
 def test_construction_builds_no_splitting_field_pair_tables():
@@ -579,6 +578,48 @@ def test_bch_asym_code_deltas():
     assert built.delta1 == (0, 1, 2, 5, 10)
     assert built.delta2 == (0, 19, 23)
     assert built.c1.k == 5 and built.c2.k == 3
+
+
+@pytest.mark.parametrize("n, q", [(15, 2), (15, 4), (24, 5), (26, 3), (31, 2),
+                                  (20, 9), (35, 8), (21, 4)])
+def test_bch_asym_code_set_count_matches_rank(n, q):
+    # c = |delta2 ∩ (-delta1)| is dim C2 and the dimensions are the coset
+    # sizes on every (s, t); the rank of G1·G2ᵀ agrees
+    structure = cyclotomic_cosets(n, q)
+    for t in range(1, structure.z):
+        for s in range(t):
+            built = bch_asym_code(structure, s, t, budget=0)
+            p = built.params
+            k1, k2 = sum(structure.sizes[: t + 1]), sum(structure.sizes[: s + 1])
+            assert (p.k1, p.k2) == (built.c1.k, built.c2.k) == (k1, k2)
+            assert p.c == k2 == LinearCode.pairing_rank(built.c1, built.c2)
+
+
+def test_coset_union_set_rules_match_products():
+    # on every pair of equal-size coset unions, the set count equals the
+    # rank of G1·G2ᵀ and the set mirror rule (delta2 is delta1 or -delta1)
+    # equals the reversed product H1·reversed(G2)ᵀ = 0; against a plain
+    # LinearCode a cyclic code falls back to the products
+    seen, pairs = set(), 0
+    for n, q in [(15, 2), (21, 2), (13, 3), (8, 3), (11, 4), (20, 3), (9, 4)]:
+        structure = cyclotomic_cosets(n, q)
+        by_size = {}
+        for mask in range(1 << len(structure.cosets)):
+            delta = [x for i, coset in enumerate(structure.cosets)
+                     if mask >> i & 1 for x in coset]
+            by_size.setdefault(len(delta), []).append(CyclicCode(structure, delta))
+        for codes in by_size.values():
+            for a in codes:
+                for b in codes:
+                    c, mirrored = a.pairing_rank(b), a.mirrors(b)
+                    plain = LinearCode(b.field, b.gen)
+                    where = (n, q, a.delta, b.delta)
+                    assert c == LinearCode.pairing_rank(a, b) == a.pairing_rank(plain), where
+                    assert mirrored == LinearCode.mirrors(a, b) == a.mirrors(plain), where
+                    seen.add((mirrored, a.delta == b.delta))
+                    pairs += 1
+    assert seen == {(True, True), (True, False), (False, False)}
+    assert pairs == 1858
 
 
 def test_bch_asym_code_exact_upgrade():

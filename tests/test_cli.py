@@ -3,6 +3,7 @@ import json
 import pytest
 
 from aeaqecc.cli import main
+from aeaqecc.enumeration import DEFAULT_BUDGET
 from aeaqecc.tables import golden_lines
 
 
@@ -240,9 +241,15 @@ def test_bch_construct_needs_three_cosets(capsys):
 
 
 def test_bch_construct_code_field_without_pair_tables(capsys):
-    # the codes over GF(2^12) are built, and their first product refuses
-    code, out, err = run(capsys, "bch-construct", "--q", "4096", "--n", "5",
-                         "--labels1", "1", "--labels2", "2")
+    # the codes over GF(2^12) are built and c is read off their defining
+    # sets; at the default budget both scans are refused, and a budget
+    # that admits the dz scan reaches its first product, which refuses
+    args = ("bch-construct", "--q", "4096", "--n", "5",
+            "--labels1", "1", "--labels2", "2")
+    code, out, err = run(capsys, *args)
+    assert (code, err) == (0, "")
+    assert "[[5, 3, >=2/>=2; 0]]_4096" in out
+    code, out, err = run(capsys, *args, "--budget", str(4096 ** 4))
     assert (code, out) == (2, "")
     assert err == "GF(2^12) is too large for dense pair tables\n"
 
@@ -290,6 +297,14 @@ def test_enlarge_demo_rejections(capsys):
     assert code == 2
     code, _, err = run(capsys, "enlarge-demo", "--q", "7", "--budget", "2048")
     assert code == 2 and "budget" in err
+    # q^(q-2) is printed as a power, not in its thousands of digits, and
+    # refused before any code is built
+    for q in ("1024", "2048", "4096", "65536"):
+        for fmt in ("human", "json"):
+            code, out, err = run(capsys, "enlarge-demo", "--q", q, "--format", fmt)
+            assert (code, out) == (2, "")
+            assert err == (f"budget too small for this field: enumeration needs "
+                           f"{q}^{int(q) - 2} codeword visits, budget is {DEFAULT_BUDGET}\n")
     # prime powers past the largest supported field
     for q in ("65537", "131072"):
         code, out, err = run(capsys, "enlarge-demo", "--q", q)

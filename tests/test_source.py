@@ -63,6 +63,10 @@ _UNREACHED_BY_DESIGN = {
     "row_space_intersect": "Zassenhaus oracle for the intersections and "
     "the entanglement c in the tests",
     "punctured_params": "the puncturing trade-off the eaqecc docstring lists",
+    "LinearCode.contains": "public membership test of an exported class, "
+    "the tests' oracle for the codes the package builds",
+    "BudgetExceededError.required": "the exact q^k for a caller that catches "
+    "the refusal; the message writes it as a power",
 }
 
 
@@ -103,9 +107,10 @@ def _names(node) -> Counter:
 
 
 def test_every_method_is_reached():
-    # the same rule one level down: a method of a class the package does
-    # not export that nothing else in the package names is reached only
-    # by its own tests; dunder methods run through the language
+    # the same rule one level down: a method that nothing else in the
+    # package names is reached only by its own tests, unless
+    # _UNREACHED_BY_DESIGN keeps it as public API; dunder methods run
+    # through the language
     wrapped = {attr for _, attr in _load_tracer().wrapped_attributes(aeaqecc)}
     trees = [
         ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
@@ -116,7 +121,7 @@ def test_every_method_is_reached():
         f"{cls.name}.{node.name}"
         for tree in trees
         for cls in tree.body
-        if isinstance(cls, ast.ClassDef) and cls.name not in aeaqecc.__all__
+        if isinstance(cls, ast.ClassDef)
         for node in cls.body
         if isinstance(node, ast.FunctionDef)
         and not (node.name.startswith("__") and node.name.endswith("__"))
