@@ -187,8 +187,7 @@ def subfield_subcode(ev: EvaluationCode, q: int) -> LinearCode:
     gamma_logs = big._log[p ** np.arange(big.degree // r)]
     reps = structure.reps_in(ev.delta)
     rows = ev.gen.entries[[ev.delta.index(a) for a in reps]].astype(np.int64)
-    log_v = big._log[rows][:, None, :]
-    products = np.where(log_v < 0, 0, big._exp[gamma_logs[None, :, None] + log_v])
+    products = big._exp[gamma_logs[None, :, None] + big._log[rows][:, None, :]]
     entries = emb.trace_table[products].reshape(-1, ev.n)
     code = LinearCode(small, MatrixGF(small, entries))
     expected = sum(structure.size_of(a) for a in reps)
@@ -222,21 +221,18 @@ def dual_defining_set(structure: CosetStructure, delta: Iterable[int]) -> tuple[
 
 @lru_cache(maxsize=None)
 def _log_tables(field: FiniteField) -> tuple[tuple, tuple, tuple | None]:
-    """exp and log of field as tuples, and for an odd extension field the
-    Zech logs zech[i] = log(1 + g^i), -1 where 1 + g^i = 0.  Adding 1
-    changes digit 0 of an encoding alone, so zech is two array steps.
+    """The field's exp table over two periods, its log table and, for an
+    odd extension field, its Zech logs zech[i] = log(1 + g^i), as tuples.
     Built once per field and read-only, as every caller shares them."""
-    exp, log, zech = field._exp, field._log, None
-    if field.p != 2 and field.degree > 1:
-        units = exp[: field.order - 1]
-        low = units % field.p
-        zech = tuple(log[units - low + (low + 1) % field.p].tolist())
-    return tuple(exp.tolist()), tuple(log.tolist()), zech
+    z, zech = field._zero_log, field._zech
+    if zech is not None:
+        zech = tuple(zech[z : z + field.order - 1].tolist())
+    return tuple(field._exp[:z].tolist()), tuple(field._log.tolist()), zech
 
 
 def _poly_mul(field: FiniteField, tables: tuple, a: list, b: list) -> list:
     """a*b over ``field``, lowest degree first, one pass per entry of the
-    shorter factor, with no pair table."""
+    shorter factor."""
     if len(a) > len(b):
         a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
@@ -246,9 +242,9 @@ def _poly_mul(field: FiniteField, tables: tuple, a: list, b: list) -> list:
 
 
 def _axpy(field: FiniteField, tables: tuple, y: list, c: int, x: list) -> list:
-    """y + c*x entrywise from _log_tables: exp/log products; sums by XOR
-    in characteristic 2, mod p in a prime field, and otherwise by Zech
-    logs, u + v = u*(1 + v/u)."""
+    """y + c*x entrywise from _log_tables, by FiniteField's rules on
+    lists: exp/log products; sums by XOR in characteristic 2, mod p in a
+    prime field, and otherwise by Zech logs, u + v = u*(1 + v/u)."""
     if not c:
         return y
     p = field.p
@@ -265,7 +261,7 @@ def _axpy(field: FiniteField, tables: tuple, y: list, c: int, x: list) -> list:
             if a:
                 la = log[a]
                 z = zech[(lv - la) % units]
-                a = exp[la + z] if z >= 0 else 0
+                a = exp[la + z] if z < units else 0  # z is log 0 where u = -v
             else:
                 a = exp[lv]
         out.append(a)
@@ -322,7 +318,7 @@ class CyclicCode(LinearCode):
         for a in structure.reps:
             if (a in members) if on_dual else ((-a) % n not in members):
                 g = _poly_mul(field, tables, g, minimal[a])
-        neg_g = field.neg_table[g].tolist()
+        neg_g = field.neg(g).tolist()
         flat, u = [], g[:-1]
         for _ in range(n + 1 - len(g)):
             flat += u
@@ -330,7 +326,7 @@ class CyclicCode(LinearCode):
                 u = _axpy(field, tables, [0] + u[:-1], u[-1], neg_g)
         tails = np.array(flat, dtype=np.int32).reshape(n + 1 - len(g), len(g) - 1)
         gen = _identity(k, n)
-        gen[:, k:] = field.neg_table[tails.T] if on_dual else tails
+        gen[:, k:] = field.neg(tails.T) if on_dual else tails
         self._set(structure, delta, field, gen)
 
     def _set(self, structure, delta, field, gen) -> None:  # gen = [I | P]
@@ -343,7 +339,7 @@ class CyclicCode(LinearCode):
         code = CyclicCode.__new__(CyclicCode)
         k, n = self.k, self.n
         gen = _identity(n - k, n)
-        gen[:, n - k :] = self.field.neg_table[self.gen.entries[:, k:].T]
+        gen[:, n - k :] = self.field.neg(self.gen.entries[:, k:].T)
         code._set(self.structure, dual_defining_set(self.structure, self.delta), self.field, gen)
         code.parity_check = self.gen
         return code

@@ -14,14 +14,14 @@ import sys
 from .bch import bch_asym_code, coset_code, cyclotomic_cosets, hartmann_tzeng_bound
 from .codes import read_code_file
 from .eaqecc import asym_params, enlargement_demo
-from .enumeration import DEFAULT_BUDGET
+from .enumeration import DEFAULT_BUDGET, check_budget
 from .errors import (
     BudgetExceededError,
     CodeFormatError,
     DegeneratePairError,
     FieldMismatchError,
 )
-from .fields import field_create, prime_power_decomposition
+from .fields import check_order, field_create, prime_power_decomposition
 from .gv import GvQuery, gv_finite_holds, gv_finite_sum, gv_threshold
 from .tables import (
     _flag,
@@ -258,7 +258,7 @@ def _cmd_bch_construct(args) -> int:
     dx_bound = hartmann_tzeng_bound(args.n, delta2)
     try:
         params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
-    except ValueError as e:  # a DegeneratePairError, or a code field without pair tables
+    except ValueError as e:  # a DegeneratePairError
         raise _CliError(EXIT_USAGE, str(e))
     _print_construction(args, params, delta1, delta2, dz_bound, dx_bound)
     return EXIT_OK
@@ -309,11 +309,10 @@ def _cmd_enlarge_demo(args) -> int:
     budget = _resolve_budget(args.budget)
     try:
         p, r = prime_power_decomposition(args.q)
-        field = field_create(p, r)
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, str(e))
-    try:
-        before, after = enlargement_demo(field, budget)
+        check_order(args.q)
+        # enlargement_demo's first check, before the field's tables are built
+        check_budget(args.q, args.q - 2, budget)
+        before, after = enlargement_demo(field_create(p, r), budget)
     except BudgetExceededError as e:
         # the comparison is only meaningful with exact distances
         raise _CliError(EXIT_USAGE, f"budget too small for this field: {e}")

@@ -164,10 +164,9 @@ def symplectic_c(hx: MatrixGF, hz: MatrixGF) -> int:
     if hx.shape != hz.shape:
         raise ValueError(f"shape mismatch: {hx.shape} vs {hz.shape}")
     field = hx.field
-    prod = mat_mul(hx, hz.transpose())
-    neg = MatrixGF(field, field.neg_table[mat_mul(hz, hx.transpose()).entries])
-    form = MatrixGF(field, field.add_table[prod.entries, neg.entries])
-    r = rank(form)
+    prod = mat_mul(hx, hz.transpose()).entries
+    neg = field.neg(mat_mul(hz, hx.transpose()).entries)
+    r = rank(MatrixGF(field, field.add(prod, neg)))
     if r % 2:
         raise RuntimeError(f"alternating form with odd rank {r}")
     return r // 2

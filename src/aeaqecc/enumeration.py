@@ -161,10 +161,7 @@ class _Lanes:
         self.per_word = 64 // width
         self.nwords = -(-n // self.per_word)
         self.offsets = np.arange(0, width * self.per_word, width, dtype=np.uint64)
-        # lane image of every element
-        digits = (np.arange(field.order)[:, None] // p ** np.arange(r)) % p
-        shifts = np.arange(0, width, b, dtype=np.uint64)
-        self.lane = np.bitwise_or.reduce(digits.astype(np.uint64) << shifts, axis=1)
+        self.lane = field.spread_digits(b).astype(np.uint64)  # lane image of every element
         # a lane v is nonzero iff (((v & low) + low) | v) & top; odd-p lanes
         # never set their top bit, so there v & low == v and the OR is moot
         self.low = _repeat((1 << (width - 1)) - 1, width, self.per_word)
@@ -241,6 +238,12 @@ def _column(lanes: _Lanes, rowmul: np.ndarray, index: int) -> np.ndarray:
     return word
 
 
+def _multiples(field: FiniteField, mat: np.ndarray) -> np.ndarray:
+    """[d, ...] -> d * mat for every element d, shape (q,) + mat.shape."""
+    d = np.arange(field.order).reshape((-1,) + (1,) * mat.ndim)
+    return field.mul(d, mat)
+
+
 def _leaders(q: int, digits: int):
     """0, then every index below q^digits whose top nonzero base-q digit is 1."""
     yield 0
@@ -253,10 +256,10 @@ def _scan(gen, field, skipped, total):
     q = field.order
     k, n = gen.shape
     lanes = _lanes(field, n)
-    rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
+    rowmul = lanes.pack(_multiples(field, gen))  # [d, i] -> d * gen[i]
 
     k_lo = _pick_k_lo(q, k, lanes.nwords * 8)
-    neg_low = _span(lanes, rowmul[:, :k_lo][field.neg_table])
+    neg_low = _span(lanes, rowmul[field.neg(np.arange(q)), :k_lo])
     # high words: the next digits from a table no larger than neg_low, the
     # remaining top digits once per pass over that table
     k_mid = min(k - k_lo, k_lo)
@@ -331,8 +334,8 @@ def _windows(gen, syndromes, field, total):
         return best, total - 1
 
     lanes, syn_lanes = _lanes(field, n), _lanes(field, syndromes.shape[1])
-    rowmul = lanes.pack(field.mul_table[:, gen])  # [d, i] -> d * gen[i]
-    synmul = syn_lanes.pack(field.mul_table[:, syndromes])
+    rowmul = lanes.pack(_multiples(field, gen))  # [d, i] -> d * gen[i]
+    synmul = syn_lanes.pack(_multiples(field, syndromes))
     cap = max(1, min(_BLOCK_TARGET, _BLOCK_BYTES // (8 * lanes.nwords)))
     for t in range(2, k + 1):
         for sup, coef in _messages(k, t, q, cap):

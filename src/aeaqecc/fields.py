@@ -1,4 +1,4 @@
-"""Finite fields GF(p^r) with table-based arithmetic.
+"""Finite fields GF(p^r) with exp/log arithmetic.
 
 Elements are integers encoding polynomial-basis coordinates: the element
 c_0 + c_1*x + ... + c_{r-1}*x^{r-1} over GF(p) has encoding
@@ -7,10 +7,11 @@ irreducible polynomial of the requested degree with the lowest encoding,
 found by a deterministic scan, so a field built twice is identical down
 to every table entry.
 
-Multiplication runs on log/antilog tables over a fixed generator (the
-lowest-encoding primitive element).  Fields small enough also carry dense
-q x q addition and multiplication tables, built on first use, for the
-vectorized linear algebra elsewhere in the package.
+Every field, up to the largest supported order, has one arithmetic:
+exp/log tables over a fixed generator (the lowest-encoding primitive
+element), with a zero sentinel so that a product is one add and one
+gather.  Sums are XOR in characteristic 2, mod p in a prime field and
+Zech logs in an odd extension.  The tables take O(q) memory.
 
 Tables and subfield embeddings are built with array operations over all
 encodings at once; only the batches of generator candidates, the walk
@@ -25,9 +26,6 @@ from math import gcd
 
 import numpy as np
 
-# Dense pair tables are kept for orders up to this bound; log/antilog
-# tables alone serve larger fields.
-_PAIR_TABLE_LIMIT = 2048
 _LOG_TABLE_LIMIT = 1 << 16
 # Generator candidates tested together by _build_tables.
 _GENERATOR_BATCH = 4
@@ -70,6 +68,12 @@ def prime_power_decomposition(q: int) -> tuple[int, int]:
     return p, r
 
 
+def check_order(q: int) -> None:
+    """Refuse a field order past the largest whose tables are built."""
+    if q > _LOG_TABLE_LIMIT:
+        raise ValueError(f"field order {q} beyond supported table size")
+
+
 def _decode(value: int, p: int, width: int) -> list[int]:
     out = []
     for _ in range(width):
@@ -78,15 +82,9 @@ def _decode(value: int, p: int, width: int) -> list[int]:
     return out
 
 
-def add_encodings(a: int, b: int, p: int) -> int:
-    """Sum of two encodings in characteristic p, digit by digit mod p."""
-    out, mult = 0, 1
-    while a or b:
-        out += ((a + b) % p) * mult
-        a //= p
-        b //= p
-        mult *= p
-    return out
+def _value(x):
+    """A gathered numpy scalar as an int, an array as itself."""
+    return x if x.ndim else int(x)
 
 
 def _poly_trim(a: list[int]) -> list[int]:
@@ -186,7 +184,11 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
 
 
 class FiniteField:
-    """GF(p^degree) with a fixed modulus and precomputed operation tables."""
+    """GF(p^degree) with a fixed modulus and exp, log and Zech log tables.
+
+    add, neg, mul and inv take encodings as ints or as numpy arrays, which
+    broadcast, and return an int for ints and an array for arrays.
+    """
 
     def __init__(self, p: int, degree: int = 1, modulus: tuple[int, ...] | None = None):
         if not is_prime(p):
@@ -196,6 +198,7 @@ class FiniteField:
         self.p = p
         self.degree = degree
         self.order = p**degree
+        check_order(self.order)
         if modulus is None:
             modulus = default_modulus(p, degree)
         else:
@@ -205,12 +208,10 @@ class FiniteField:
             if not is_irreducible(modulus, p):
                 raise ValueError(f"modulus {modulus} is reducible over GF({p})")
         self.modulus = modulus
-        if self.order > _LOG_TABLE_LIMIT:
-            raise ValueError(f"field order {self.order} beyond supported table size")
         self._build_tables()
 
     def _build_tables(self) -> None:
-        """Fill the exp/log, negation and inverse tables.
+        """Fill the exp, log and Zech log tables.
 
         Multiplication by x is one gather on encodings, read off the
         modulus; multiplication by v is then a linear map over GF(p) whose
@@ -269,73 +270,66 @@ class FiniteField:
         if len(orbit) != q - 1:
             raise RuntimeError(f"GF({q}) generator {self.generator} has order {len(orbit)}")
 
-        exp = np.array(orbit * 2, dtype=np.int64)
-        log = np.full(q, -1, dtype=np.int64)
+        # log 0 = z lies past every sum of two unit logs, and exp is 0 from
+        # z on, so exp[log a + log b] is a * b for zero factors too
+        z = self._zero_log = 2 * (q - 1)
+        exp = np.zeros(2 * z + 1, dtype=np.int32)
+        exp[:z] = orbit * 2
+        log = np.empty(q, dtype=np.int32)
         log[exp[: q - 1]] = np.arange(q - 1)
-        self._exp = exp
-        self._log = log
-        self._neg = ((p - digits) % p) @ powers
-        inv = np.zeros(q, dtype=np.int64)
-        inv[1:] = exp[(q - 1) - log[1:]]
-        self._inv = inv
+        log[0] = z
+        self._exp, self._log, self._zech = exp, log, None
+        if p != 2 and r > 1:
+            # a + b = exp[log a + zech[log b - log a + z]].  For units,
+            # b/a = g^d and the entry is log(1 + g^d): adding 1 changes
+            # digit 0 alone, and the log is z where the sum is 0.  The
+            # entry is log b - z for a = 0, and 0 for b = 0.
+            d = np.arange(2 - q, q - 1)
+            units = exp[d % (q - 1)]
+            low = units % p
+            zech = np.zeros(2 * z + 1, dtype=np.int32)
+            zech[: q - 1] = np.arange(q - 1) - z
+            zech[d + z] = log[units - low + (low + 1) % p]
+            self._zech = zech
 
-    @cached_property
-    def digit_table(self) -> np.ndarray:
-        """Base-p digits of every encoding, shape (q, degree), lowest first."""
-        powers = self.p ** np.arange(self.degree, dtype=np.int64)
-        return (np.arange(self.order, dtype=np.int64)[:, None] // powers) % self.p
+    def spread_digits(self, stride: int) -> np.ndarray:
+        """Every encoding with its base-p digit j moved to bit stride*j."""
+        vals = np.arange(self.order, dtype=np.int64)
+        out = np.zeros(self.order, dtype=np.int64)
+        for j in range(self.degree):
+            out |= (vals // self.p**j % self.p) << (stride * j)
+        return out
 
-    @cached_property
-    def _add2(self) -> np.ndarray | None:
-        """Dense q x q addition table, built on first use; None above the limit."""
-        q, p = self.order, self.p
-        if q > _PAIR_TABLE_LIMIT:
-            return None
-        if p == 2:
-            enc = np.arange(q, dtype=np.int16)
-            return enc[:, None] ^ enc[None, :]
-        add = np.zeros((q, q), dtype=np.int16)
-        for j, d in enumerate(self.digit_table.T.astype(np.int16)):
-            add += (d[:, None] + d[None, :]) % p * np.int16(p**j)
-        return add
+    # -- operations on ints or numpy arrays of encodings ----------------
 
-    @cached_property
-    def _mul2(self) -> np.ndarray | None:
-        """Dense q x q multiplication table, built on first use; None above the limit."""
-        q = self.order
-        if q > _PAIR_TABLE_LIMIT:
-            return None
-        logs = self._log[1:].astype(np.int32)
-        mul = np.zeros((q, q), dtype=np.int16)
-        mul[1:, 1:] = self._exp.astype(np.int16)[logs[:, None] + logs[None, :]]
-        return mul
+    def add(self, a, b):
+        """a + b: XOR in characteristic 2, mod p in a prime field, and by
+        Zech logs in an odd extension, a + b = a * (1 + b/a)."""
+        if self.p == 2:
+            return a ^ b
+        if self.degree == 1:
+            return (a + b) % self.p
+        la, lb = self._log[a], self._log[b]
+        return _value(self._exp[la + self._zech[lb - la + self._zero_log]])
 
-    # -- scalar operations ----------------------------------------------
+    def neg(self, a):
+        """-a, the product with -1, whose encoding is p - 1."""
+        return self.mul(a, self.p - 1)
 
-    def add(self, a: int, b: int) -> int:
-        if self._add2 is not None:
-            return int(self._add2[a, b])
-        return add_encodings(a, b, self.p)
+    def mul(self, a, b):
+        return _value(self._exp[self._log[a] + self._log[b]])
 
-    def neg(self, a: int) -> int:
-        return int(self._neg[a])
-
-    def mul(self, a: int, b: int) -> int:
-        if a == 0 or b == 0:
-            return 0
-        return int(self._exp[self._log[a] + self._log[b]])
-
-    def inv(self, a: int) -> int:
-        if a == 0:
+    def inv(self, a):
+        if not np.all(a):
             raise ZeroDivisionError(f"0 has no inverse in {self}")
-        return int(self._inv[a])
+        return _value(self._exp[self.order - 1 - self._log[a]])
 
     def pow(self, a: int, e: int) -> int:
         if a == 0:
             if e < 0:
                 raise ZeroDivisionError(f"0 has no inverse in {self}")
             return 1 if e == 0 else 0
-        return int(self._exp[(self._log[a] * e) % (self.order - 1)])
+        return int(self._exp[int(self._log[a]) * e % (self.order - 1)])
 
     def trace(self, a: int, subfield_degree: int = 1) -> int:
         """Trace onto GF(p^subfield_degree), returned in this field's encoding.
@@ -358,26 +352,6 @@ class FiniteField:
     @property
     def designator(self) -> str:
         return f"{self.p}^{self.degree}" if self.degree > 1 else str(self.p)
-
-    @property
-    def add_table(self) -> np.ndarray:
-        if self._add2 is None:
-            raise ValueError(f"{self} is too large for dense pair tables")
-        return self._add2
-
-    @property
-    def mul_table(self) -> np.ndarray:
-        if self._mul2 is None:
-            raise ValueError(f"{self} is too large for dense pair tables")
-        return self._mul2
-
-    @property
-    def neg_table(self) -> np.ndarray:
-        return self._neg
-
-    @property
-    def inv_table(self) -> np.ndarray:
-        return self._inv
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FiniteField):
@@ -439,21 +413,10 @@ def primitive_nth_root(field: FiniteField, n: int) -> int:
 
 
 def _horner(field: FiniteField, coeffs, x) -> np.ndarray:
-    """sum_j coeffs[j] * x^j in ``field``, elementwise over arrays.
-
-    Each coefficient is a prime-field value (or an array of them), so adding
-    it touches only digit 0 of an encoding; the products run through the
-    exp/log tables.
-    """
-    p = field.p
-    log_x = field._log[np.asarray(x)]
-    acc = np.zeros_like(log_x)  # takes the coefficients' shape on the first step
+    """sum_j coeffs[j] * x^j in ``field``, elementwise over arrays."""
+    acc = np.zeros_like(x)  # takes the coefficients' shape on the first step
     for c in reversed(coeffs):
-        log_acc = field._log[acc]
-        prod = np.where((log_acc < 0) | (log_x < 0), 0,
-                        field._exp[log_acc + log_x])
-        low = prod % p
-        acc = prod - low + (low + c) % p
+        acc = field.add(field.mul(acc, x), c)
     return acc
 
 
@@ -476,7 +439,7 @@ class SubfieldEmbedding:
             raise RuntimeError(f"modulus of {small} has no root in {big}")
         self.beta = beta = int(roots[0])
         # x = sum_j x_j * beta^j for the digits x_j of every small encoding
-        values = np.arange(small.order, dtype=np.int64)
+        values = np.arange(small.order, dtype=np.int32)
         digits = [(values // small.p**j) % small.p for j in range(small.degree)]
         self._embed = _horner(big, digits, beta)
         self._retract = np.full(big.order, -1, dtype=np.int64)

@@ -1,7 +1,7 @@
 """Exact linear algebra over finite fields.
 
 Matrices hold integer-encoded field elements in a numpy array and do all
-row reduction through the field's dense lookup tables, so every result is
+row reduction through the field's array operations, so every result is
 exact.  Row echelon form uses first-nonzero pivoting, which makes the
 reduced form (and everything derived from it: ranks, null spaces,
 intersections) deterministic.
@@ -111,10 +111,12 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     Each product enters the sum over l packed: its base-p digits sit in
     bit fields of one int64, so one integer sum adds all digits of up to
     `span` terms at once without a field overflowing into the next (at
-    least 31 terms for any field with pair tables).  Longer sums are cut
-    into runs of `span`, and rows are done in chunks so the gathered
-    products stay bounded.  Over a prime field the product is one integer
-    matrix product taken mod p.
+    least 7 terms for any supported field, 31 up to 2^12 elements).  The
+    packed digits are composed with the field's exp table, so a product
+    is one gather at log a_il + log b_lj.  Longer sums are cut into runs
+    of `span`, and rows are done in chunks so the gathered products stay
+    bounded.  Over a prime field the product is one integer matrix
+    product taken mod p.
     """
     field = _same_field(a, b)
     if a.cols != b.rows:
@@ -122,21 +124,20 @@ def mat_mul(a: MatrixGF, b: MatrixGF) -> MatrixGF:
     p, r = field.p, field.degree
     if r == 1 and a.cols * (p - 1) ** 2 < 1 << 63:  # integer sums cannot wrap
         return MatrixGF(field, (a.entries.astype(np.int64) @ b.entries) % p)
-    mul = field.mul_table
     width = 63 // r
     shifts = width * np.arange(r, dtype=np.int64)
-    packed = (field.digit_table << shifts).sum(axis=1)
+    packed = field.spread_digits(width)[field._exp]
     mask = (1 << width) - 1
     span = mask // (p - 1)
     powers = p ** np.arange(r, dtype=np.int64)
-    ae, be = a.entries, b.entries
+    la, lb = field._log[a.entries], field._log[b.entries]
     out = np.zeros((a.rows, b.cols), dtype=_ENTRY_DTYPE)
     step = max(1, _MAT_MUL_CHUNK // max(1, min(a.cols, span) * b.cols))
     for i in range(0, a.rows, step):
         digits = np.zeros((min(step, a.rows - i), b.cols, r), dtype=np.int64)
         for l in range(0, a.cols, span):
-            prods = mul[ae[i : i + step, l : l + span, None], be[None, l : l + span]]
-            digits += (packed[prods].sum(axis=1)[..., None] >> shifts) & mask
+            prods = packed[la[i : i + step, l : l + span, None] + lb[None, l : l + span]]
+            digits += (prods.sum(axis=1)[..., None] >> shifts) & mask
         out[i : i + step] = digits % p @ powers
     return MatrixGF(field, out)
 
@@ -152,15 +153,13 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
     Returns (reduced matrix, rank, pivot columns).  Pivot choice is the
     first row with a nonzero entry in the current column, so the output is
     unique for a given row space and deterministic for a given input.
-    Each pivot row is scaled to a leading 1, then one gather through the
-    pair tables adds coef * pivot row to every row, with coef the negated
-    column: rows already 0 there keep their entries, and the pivot row,
-    which this zeroes, is written back scaled.  The sweep stops once the
+    Each pivot row is scaled to a leading 1, then one array sum adds
+    coef * pivot row to every row, with coef the negated column: rows
+    already 0 there keep their entries, and the pivot row, which this
+    zeroes, is written back scaled.  The sweep stops once the
     rows below the last pivot are all zero.
     """
     field = m.field
-    add, mul = field.add_table, field.mul_table
-    inv, neg = field.inv_table, field.neg_table
     a = m.entries.copy()
     nrows, ncols = a.shape
     pivots = []
@@ -176,8 +175,8 @@ def rref(m: MatrixGF) -> tuple[MatrixGF, int, tuple[int, ...]]:
         sel = pr + int(nz[0])
         if sel != pr:
             a[[pr, sel]] = a[[sel, pr]]
-        pivot = mul[inv[a[pr, col]], a[pr]]
-        a = add[a, mul[neg[a[:, col], None], pivot]]
+        pivot = field.mul(field.inv(a[pr, col]), a[pr])
+        a = field.add(a, field.mul(field.neg(a[:, col, None]), pivot))
         a[pr] = pivot
         pivots.append(col)
         pr += 1
@@ -203,7 +202,7 @@ def null_space(m: MatrixGF, pivots: tuple[int, ...] | None = None) -> MatrixGF:
     free = np.flatnonzero(free)
     basis = np.zeros((free.size, ncols), dtype=_ENTRY_DTYPE)
     basis[np.arange(free.size), free] = 1
-    basis[:, list(pivots)] = m.field.neg_table[m.entries[:, free]].T
+    basis[:, list(pivots)] = m.field.neg(m.entries[:, free]).T
     return MatrixGF(m.field, basis)
 
 

@@ -1,9 +1,5 @@
-import os
 import random
 import re
-import subprocess
-import sys
-import textwrap
 from math import gcd
 
 import pytest
@@ -227,8 +223,8 @@ def _oracle_pairs():
     The sweep pairs are q in {2, 3, 4, 5, 7, 8, 9} with 2 <= n <= 45 coprime
     to q, a splitting field of at most 2^12 elements other than GF(2^11),
     and at least three cosets.  They include the splitting fields GF(2^12)
-    (n = 45, q = 2) and GF(5^5) (n = 11, q = 5), which have no pair tables,
-    and the odd extension q = 9; the labels pairs add q = 16 and q = 25.
+    (n = 45, q = 2) and GF(5^5) (n = 11, q = 5), and the odd extension
+    q = 9; the labels pairs add q = 16 and q = 25.
     """
     sweep = [
         (q, n)
@@ -286,23 +282,6 @@ def test_coset_codes_need_no_elimination(monkeypatch):
         built = bch_asym_code(cyclotomic_cosets(n, q), s, t)
         built.c1.dual(), built.c2.dual()
     assert calls == []
-
-
-def test_construction_builds_no_splitting_field_pair_tables():
-    # minimal polynomials multiply in the splitting field by exp/log alone,
-    # so its q x q tables never inflate memory.  A fresh interpreter,
-    # because other tests read the cached fields' tables.
-    script = textwrap.dedent("""
-        from aeaqecc.bch import bch_asym_code, coset_code, cyclotomic_cosets, splitting_field
-        bch_asym_code(cyclotomic_cosets(33, 2), 0, 1)
-        coset_code(26, 3, [1, 2]).dual()
-        for field in (splitting_field(33, 2), splitting_field(26, 3)):
-            print(field.order, sorted({"_add2", "_mul2"} & set(vars(field))))
-    """)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["1024 []", "27 []"]
 
 
 def _assert_dual_identity(s, delta, dual):

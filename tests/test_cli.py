@@ -2,8 +2,10 @@ import json
 
 import pytest
 
+from aeaqecc import cli
 from aeaqecc.cli import main
 from aeaqecc.enumeration import DEFAULT_BUDGET
+from aeaqecc.fields import FiniteField, field_create
 from aeaqecc.tables import golden_lines
 
 
@@ -80,6 +82,16 @@ def test_analyze_gf32_exact_distances(capsys, tmp_path):
     doc = json.loads(out)
     assert doc["dz"] == {"value": 3, "exact": True, "enumerated": 32**3 - 1}
     assert doc["dx"] == {"value": 2, "exact": True, "enumerated": 32**4 - 1}
+
+
+def test_analyze_over_gf4096(capsys, tmp_path):
+    # files over GF(2^12) are reduced and multiplied by the field's exp/log
+    # arithmetic like any other field's
+    a = write_code(tmp_path / "a.code", "2^12", 4, [[1, 2, 3, 4]])
+    b = write_code(tmp_path / "b.code", "2^12", 4, [[5, 6, 7, 8]])
+    code, out, err = run(capsys, "analyze", a, b)
+    assert (code, err) == (0, "")
+    assert out.splitlines()[:2] == ["[[4, 3, >=1/>=1; 1]]_4096", "k1 = 1, k2 = 1, c = 1"]
 
 
 def test_analyze_parse_error_has_location(capsys, tmp_path):
@@ -201,7 +213,8 @@ def test_bch_construct_by_labels(capsys):
 
 
 def test_bch_construct_over_gf2048(capsys):
-    # n = 23 splits over GF(2^11), the largest field with dense pair tables
+    # n = 23 splits over GF(2^11), in which the construction multiplies
+    # the minimal polynomials of the binary code
     code, out, _ = run(capsys, "bch-construct", "--q", "2", "--n", "23",
                        "--s", "0", "--t", "1", "--format", "json")
     assert code == 0
@@ -243,15 +256,15 @@ def test_bch_construct_needs_three_cosets(capsys):
 def test_bch_construct_code_field_without_pair_tables(capsys):
     # the codes over GF(2^12) are built and c is read off their defining
     # sets; at the default budget both scans are refused, and a budget
-    # that admits the dz scan reaches its first product, which refuses
+    # that admits them measures both distances through exp/log products
     args = ("bch-construct", "--q", "4096", "--n", "5",
             "--labels1", "1", "--labels2", "2")
     code, out, err = run(capsys, *args)
     assert (code, err) == (0, "")
     assert "[[5, 3, >=2/>=2; 0]]_4096" in out
     code, out, err = run(capsys, *args, "--budget", str(4096 ** 4))
-    assert (code, out) == (2, "")
-    assert err == "GF(2^12) is too large for dense pair tables\n"
+    assert (code, err) == (0, "")
+    assert out.splitlines()[0] == "[[5, 3, 2/2; 0]]_4096"
 
 
 def test_bch_construct_degenerate_pair_is_usage_error(capsys):
@@ -310,6 +323,26 @@ def test_enlarge_demo_rejections(capsys):
         code, out, err = run(capsys, "enlarge-demo", "--q", q)
         assert (code, out) == (2, "")
         assert err == f"field order {q} beyond supported table size\n"
+
+
+def test_enlarge_demo_refuses_before_building_the_field(capsys, monkeypatch):
+    # GF(2^16) is not built for a refusal: the uncached constructor stands
+    # in for field_create, so a field cached by another test cannot hide a
+    # build from the spy
+    builds = []
+    original = FiniteField.__init__
+
+    def spy(self, *args, **kwargs):
+        builds.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(FiniteField, "__init__", spy)
+    monkeypatch.setattr(cli, "field_create", field_create.__wrapped__)
+    code, out, err = run(capsys, "enlarge-demo", "--q", "65536")
+    assert (code, out, builds) == (2, "", [])
+    assert err.startswith("budget too small for this field: ")
+    code, out, _ = run(capsys, "enlarge-demo", "--q", "7")
+    assert code == 0 and (7, 1) in builds
 
 
 def test_unknown_command_is_usage_error(capsys):

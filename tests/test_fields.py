@@ -1,17 +1,12 @@
 """Field construction, arithmetic tables, embeddings, traces."""
 
-import os
 import random
-import subprocess
-import sys
-import textwrap
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from aeaqecc.fields import (
-    _PAIR_TABLE_LIMIT,
     FiniteField,
     default_modulus,
     field_create,
@@ -67,49 +62,55 @@ def _scalar_generator(field):
     return next(v for v in range(1, q) if all(pow_raw(v, (q - 1) // t) != 1 for t in factors))
 
 
+def _digit_add(a, b, p, r):
+    """Sum of two encodings, digit by digit mod p."""
+    return sum((a // p**i + b // p**i) % p * p**i for i in range(r))
+
+
 def _scalar_tables(field):
     """The field's tables built one element at a time, as an oracle.
 
     The generator comes from _scalar_generator, and exp is filled by
-    repeated multiplication by it.  The pair tables are built row by row
-    from the digits and from exp/log.
+    repeated multiplication by it; log 0 is z = 2(q - 1), and exp is 0
+    from z on.  An odd extension's Zech logs come from digit-wise sums
+    of 1 and each unit; neg and inv, which the field computes from
+    exp/log, come from the digits and from exp/log.
     """
     p, r, q = field.p, field.degree, field.order
-
-    def decode(v):
-        return [(v // p**i) % p for i in range(r)]
-
+    z = 2 * (q - 1)
     gen = _scalar_generator(field)
-    exp = np.zeros(2 * (q - 1) if q > 2 else 2, dtype=np.int64)
-    log = np.full(q, -1, dtype=np.int64)
+    exp = np.zeros(2 * z + 1, dtype=np.int32)
+    log = np.full(q, z, dtype=np.int32)
     cur = 1
     for i in range(q - 1):
-        exp[i] = cur
+        exp[i] = exp[i + q - 1] = cur
         log[cur] = i
         cur = _scalar_mul(field, cur, gen)
-    exp[q - 1 :] = exp[: len(exp) - (q - 1)]
-    digits = np.array([decode(v) for v in range(q)], dtype=np.int64).reshape(q, r)
-    powers = p ** np.arange(r, dtype=np.int64)
-    neg = (((p - digits) % p) * powers).sum(axis=1)
-    inv = np.zeros(q, dtype=np.int64)
-    inv[1:] = exp[(q - 1) - log[1:]]
-    tables = {"generator": gen, "_exp": exp, "_log": log, "_neg": neg, "_inv": inv}
-    if q <= 2048:
-        add = np.zeros((q, q), dtype=np.int16)
-        mul = np.zeros((q, q), dtype=np.int16)
-        for a in range(q):
-            add[a] = ((digits[a] + digits) % p) @ powers
-            if a:
-                mul[a, 1:] = exp[log[a] + log[1:]]
-        tables.update(add_table=add, mul_table=mul)
+    neg = [sum((p - a // p**i % p) % p * p**i for i in range(r)) for a in range(q)]
+    inv = [int(exp[(q - 1) - log[a]]) for a in range(1, q)]
+    tables = {"generator": gen, "_exp": exp, "_log": log, "neg": neg, "inv": inv}
+    if p != 2 and r > 1:
+        zech = np.zeros(2 * z + 1, dtype=np.int32)  # b = 0: a + b = a
+        for lb in range(q - 1):  # a = 0: a + b = b
+            zech[lb] = lb - z
+        for d in range(2 - q, q - 1):  # units: a + b = a * (1 + g^d)
+            zech[d + z] = log[_digit_add(1, int(exp[d % (q - 1)]), p, r)]
+        tables["_zech"] = zech
+    else:
+        tables["_zech"] = None
     return tables
 
 
 def _assert_tables_match_oracle(field):
     for name, want in _scalar_tables(field).items():
-        got = getattr(field, name)
-        if name == "generator":
-            assert got == want, field
+        if name == "neg":
+            got = field.neg(np.arange(field.order)).tolist()
+        elif name == "inv":
+            got = field.inv(np.arange(1, field.order)).tolist()
+        else:
+            got = getattr(field, name)
+        if name in ("generator", "neg", "inv") or want is None:
+            assert got == want, (field, name)
         else:
             assert got.dtype == want.dtype and np.array_equal(got, want), (field, name)
 
@@ -283,55 +284,56 @@ def test_generator_search_matches_scalar_oracle_past_many_candidates():
         assert sorted(field._exp[: field.order - 1]) == list(range(1, field.order))
 
 
-def test_pair_tables_are_built_on_first_read():
-    for p, r in [(2, 4), (5, 2), (3, 3), (2, 11)]:
-        field = FiniteField(p, r)  # not the cached instance: nothing read yet
-        assert "_add2" not in vars(field) and "_mul2" not in vars(field)
-        _assert_tables_match_oracle(field)
-        assert "_add2" in vars(field) and "_mul2" in vars(field)
+def test_tables_stay_linear_in_the_order():
+    # exp, log and Zech logs take O(q) entries: no field keeps a table
+    # of pairs, up to the largest supported order
+    for p, r in [(2, 4), (5, 2), (3, 3), (2, 11), (3, 7), (2, 16)]:
+        field = FiniteField(p, r)
+        x = np.arange(field.order)
+        field.add(x, field.mul(field.neg(x), x[::-1]))  # every operation once
+        arrays = [v for v in vars(field).values() if isinstance(v, np.ndarray)]
+        assert {a.ndim for a in arrays} == {1}
+        assert max(a.size for a in arrays) <= 4 * field.order, field
+        assert (field._zech is None) == (p == 2)
 
 
-def test_scalar_add_below_and_above_the_pair_table_limit():
-    rng = random.Random(21)
-    for p, r in [(2, 11), (3, 7), (2, 12), (5, 5)]:
+def test_array_operations_match_digit_oracles():
+    # add against digit-wise sums, mul against polynomial products reduced
+    # by the modulus; on arrays and on ints, on every pair of the small
+    # fields and on 200 random pairs (zeros included) of the large ones
+    rng = np.random.default_rng(21)
+    for p, r in [(2, 4), (5, 2), (3, 3), (2, 11), (3, 7), (2, 12), (5, 5), (2, 16)]:
         field = field_create(p, r)
-        assert (field.order <= _PAIR_TABLE_LIMIT) == ((p, r) == (2, 11))
-        for _ in range(200):
-            a, b = rng.randrange(field.order), rng.randrange(field.order)
-            want = sum((a // p**i + b // p**i) % p * p**i for i in range(r))
-            assert field.add(a, b) == want
-        if field.order > _PAIR_TABLE_LIMIT:
-            with pytest.raises(ValueError, match="too large for dense pair tables"):
-                field.add_table
-
-
-def test_splitting_field_of_a_construction_builds_no_pair_tables():
-    # only the code field is multiplied by tables, in the window search;
-    # the splitting field GF(2^10) of n = 33 is read through exp/log alone.
-    # A fresh interpreter, because other tests read the cached field's tables.
-    script = textwrap.dedent("""
-        from aeaqecc.bch import bch_asym_code, cyclotomic_cosets, splitting_field
-        from aeaqecc.fields import field_create
-        bch_asym_code(cyclotomic_cosets(33, 2), 0, 1)
-        for field in (splitting_field(33, 2), field_create(2, 1)):
-            print(field.order, sorted({"_add2", "_mul2"} & set(vars(field))))
-    """)
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, check=True).stdout
-    assert out.splitlines() == ["1024 []", "2 ['_mul2']"]
+        q = field.order
+        if q <= 125:
+            a, b = (g.ravel() for g in np.meshgrid(np.arange(q), np.arange(q)))
+        else:
+            a, b = rng.integers(0, q, 200), rng.integers(0, q, 200)
+            a[:2], b[1:3] = 0, 0
+        pairs = list(zip(a.tolist(), b.tolist()))
+        assert field.add(a, b).tolist() == [_digit_add(x, y, p, r) for x, y in pairs]
+        assert field.mul(a, b).tolist() == [_scalar_mul(field, x, y) for x, y in pairs]
+        assert [field.add(x, y) for x, y in pairs] == field.add(a, b).tolist()
+        assert [field.mul(x, y) for x, y in pairs] == field.mul(a, b).tolist()
+        assert not field.add(a, field.neg(a)).any()
+        units = a[a != 0]
+        assert (field.mul(units, field.inv(units)) == 1).all()
+        assert [field.inv(x) for x in units.tolist()] == field.inv(units).tolist()
+        with pytest.raises(ZeroDivisionError):
+            field.inv(a)  # holds a zero
 
 
 def test_build_memory_stays_small():
-    # the pair tables are 2 bytes per entry: 2 and 8 MiB for these orders
-    for degree in (10, 11):
+    # the tables are linear in the order; a q x q table of 2-byte entries
+    # would be 8 and 32 MiB for the last two orders
+    for degree in (10, 11, 12):
         tracemalloc.start()
         try:
             FiniteField(2, degree)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 64 * 2**20, (degree, peak / 2**20)
+        assert peak < 4 * 2**20, (degree, peak / 2**20)
 
 
 def test_field_axioms_exhaustive_small():
@@ -388,16 +390,6 @@ def test_trace_to_intermediate_subfield_fixed_by_frobenius():
     for a in range(F.order):
         t = F.trace(a, 2)
         assert F.pow(t, sub_q) == t
-
-
-def test_dense_tables_match_scalar_ops():
-    for p, r in [(2, 4), (5, 2), (3, 3)]:
-        F = field_create(p, r)
-        add, mul = F.add_table, F.mul_table
-        for a in range(F.order):
-            for b in range(F.order):
-                assert int(add[a, b]) == F.add(a, b)
-                assert int(mul[a, b]) == F.mul(a, b)
 
 
 def test_multiplicative_order_matches_naive():
@@ -472,7 +464,7 @@ def test_subfield_embedding_is_a_field_homomorphism():
         embed = [_naive_poly_eval([(x // ps**j) % ps for j in range(rs)], beta, big)
                  for x in range(small.order)]
         assert emb.beta == beta
-        assert emb._embed.dtype == np.int64 and emb._embed.tolist() == embed
+        assert emb._embed.dtype == np.int32 and emb._embed.tolist() == embed
         assert [emb.retract(v) for v in embed] == list(range(small.order))
         outside = sorted(set(range(big.order)) - set(embed))[:5]
         for v in outside:
@@ -496,7 +488,7 @@ def test_relative_trace_maps_onto_small_field():
 
 
 def test_trace_table_matches_relative_trace():
-    # GF(2^12) has no pair tables, so its table cannot lean on them
+    # GF(2^12), as every field, sums its traces by XOR or Zech logs
     cases = [((2, 1), (2, 12)), ((2, 2), (2, 8)), ((5, 1), (5, 3)), ((5, 2), (5, 4))]
     for (ps, rs), (pb, rb) in cases:
         emb = subfield_embedding(field_create(ps, rs), field_create(pb, rb))

@@ -52,11 +52,12 @@ def _rref_oracle(m):
         if pr >= a.shape[0] or not rows:
             continue
         a[[pr, rows[0]]] = a[[rows[0], pr]]
-        a[pr] = f.mul_table[f.inv(int(a[pr, col]))][a[pr]]
+        scale = f.inv(int(a[pr, col]))
+        a[pr] = [f.mul(scale, int(v)) for v in a[pr]]
         for i in range(a.shape[0]):
             if i != pr and a[i, col]:
                 coef = f.neg(int(a[i, col]))
-                a[i] = f.add_table[a[i], f.mul_table[coef][a[pr]]]
+                a[i] = [f.add(int(u), f.mul(coef, int(v))) for u, v in zip(a[i], a[pr])]
         pivots.append(col)
         pr += 1
     return MatrixGF(f, a), pr, tuple(pivots)

@@ -9,6 +9,7 @@ flag and words covered.
 
 import itertools
 import random
+import tracemalloc
 
 import pytest
 
@@ -319,3 +320,18 @@ def test_min_weight_walks_a_cyclic_code_and_scans_any_other(monkeypatch):
         assert not walks
         assert codes.min_weight(code) == WeightReport(value=value, exact=True, enumerated=visited)
         assert len(walks) == walked
+
+
+def test_gf2048_pair_needs_no_table_of_pairs():
+    # the window search multiplies GF(2^11) rows by exp/log; a 2048 x 2048
+    # product table of 2-byte entries alone would be 8 MiB
+    a, b = coset_code(23, 2048, [1, 2]), coset_code(23, 2048, [2])
+    a.parity_check, b.parity_check  # built before the measurement
+    tracemalloc.start()
+    try:
+        report = relative_min_weight(a, b)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert report == WeightReport(value=22, exact=True, enumerated=2048**2 - 1)
+    assert peak < 4 * 2**20, peak / 2**20
