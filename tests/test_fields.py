@@ -297,30 +297,40 @@ def test_tables_stay_linear_in_the_order():
         assert (field._zech is None) == (p == 2)
 
 
-def test_array_operations_match_digit_oracles():
-    # add against digit-wise sums, mul against polynomial products reduced
-    # by the modulus; on arrays and on ints, on every pair of the small
-    # fields and on 200 random pairs (zeros included) of the large ones
-    rng = np.random.default_rng(21)
-    for p, r in [(2, 4), (5, 2), (3, 3), (2, 11), (3, 7), (2, 12), (5, 5), (2, 16)]:
+def _assert_operations_match_digit_oracles(field, a, b):
+    """add against digit-wise sums, mul against polynomial products reduced
+    by the modulus, neg and inv against add and mul; on arrays and on ints."""
+    p, r = field.p, field.degree
+    pairs = list(zip(a.tolist(), b.tolist()))
+    assert field.add(a, b).tolist() == [_digit_add(x, y, p, r) for x, y in pairs]
+    assert field.mul(a, b).tolist() == [_scalar_mul(field, x, y) for x, y in pairs]
+    assert [field.add(x, y) for x, y in pairs] == field.add(a, b).tolist()
+    assert [field.mul(x, y) for x, y in pairs] == field.mul(a, b).tolist()
+    assert not field.add(a, field.neg(a)).any()
+    units = a[a != 0]
+    assert (field.mul(units, field.inv(units)) == 1).all()
+    assert [field.inv(x) for x in units.tolist()] == field.inv(units).tolist()
+    with pytest.raises(ZeroDivisionError):
+        field.inv(a)  # holds a zero
+
+
+def test_dense_tables_match_scalar_ops():
+    # every pair of the small fields, as dense q x q grids
+    for p, r in [(2, 4), (5, 2), (3, 3)]:
         field = field_create(p, r)
-        q = field.order
-        if q <= 125:
-            a, b = (g.ravel() for g in np.meshgrid(np.arange(q), np.arange(q)))
-        else:
-            a, b = rng.integers(0, q, 200), rng.integers(0, q, 200)
-            a[:2], b[1:3] = 0, 0
-        pairs = list(zip(a.tolist(), b.tolist()))
-        assert field.add(a, b).tolist() == [_digit_add(x, y, p, r) for x, y in pairs]
-        assert field.mul(a, b).tolist() == [_scalar_mul(field, x, y) for x, y in pairs]
-        assert [field.add(x, y) for x, y in pairs] == field.add(a, b).tolist()
-        assert [field.mul(x, y) for x, y in pairs] == field.mul(a, b).tolist()
-        assert not field.add(a, field.neg(a)).any()
-        units = a[a != 0]
-        assert (field.mul(units, field.inv(units)) == 1).all()
-        assert [field.inv(x) for x in units.tolist()] == field.inv(units).tolist()
-        with pytest.raises(ZeroDivisionError):
-            field.inv(a)  # holds a zero
+        a, b = (g.ravel() for g in np.meshgrid(np.arange(field.order), np.arange(field.order)))
+        _assert_operations_match_digit_oracles(field, a, b)
+
+
+def test_scalar_add_below_and_above_the_pair_table_limit():
+    # 200 random pairs, zeros included, of fields on either side of
+    # order 2^11 up to the largest supported order
+    rng = np.random.default_rng(21)
+    for p, r in [(2, 11), (3, 7), (2, 12), (5, 5), (2, 16)]:
+        field = field_create(p, r)
+        a, b = rng.integers(0, field.order, 200), rng.integers(0, field.order, 200)
+        a[:2], b[1:3] = 0, 0
+        _assert_operations_match_digit_oracles(field, a, b)
 
 
 def test_build_memory_stays_small():
