@@ -394,9 +394,11 @@ def hartmann_tzeng_bound(n: int, defining_set: Iterable[int]) -> int:
     returns the best delta + s.  Runs of distinct translates only, so s
     stays below n / gcd(a2, n).  A pattern is credited only when the
     translate at the end of its run of multiples of a1 has the shortest
-    run along a2 (see _best_windows), so the result can fall below the
-    best pattern; it is still a floor.  The empty set gives 1; the full
-    set (a code with only the zero word) gives n + 1.
+    run along a2 (see _ht_search), so the result can fall below the best
+    pattern; it is still a floor.  Runs and windows are read on the
+    members of the set only: a step costs work over units x |T| cells,
+    not units x n positions.  The empty set gives 1; the full set (a code
+    with only the zero word) gives n + 1.
     """
     if n < 1:
         raise ValueError("n must be positive")
@@ -412,90 +414,88 @@ def _ht_bound(n: int, t_sorted: tuple[int, ...]) -> int:
     return _ht_search(n, frozenset(t_sorted))
 
 
-# (step, position) cells of T's run table held at once
+# (step, cell) entries of one array of the search
 _HT_BLOCK = 1 << 16
 
 
 def _ht_search(n: int, t_set: frozenset) -> int:
-    """Best delta + s over one unit per coset of the stabilizer of T.
+    """Best credited window over one unit per coset of the stabilizer of T.
 
     Units v with vT = T form a group, which contains q when T is a union
     of q-cyclotomic cosets.  For such v the unit u*v scans u*v*T = u*T,
     the very set u scans, so one unit per coset u*Stab(T) is enough.
 
-    Every unit reads its runs off T's own: x + j*u*m lies in uT exactly
-    when u^-1*x + j*m lies in T, and gcd(u*m, n) = gcd(m, n), so the run
-    of uT at step u*m and position x is the run of T at step m and
-    position u^-1*x.  T's runs are built once per block of _HT_BLOCK
-    cells, and each unit applies the window rule to that block's columns
-    gathered in the order u^-1*x.
+    Unit u's run at step u*m and position y is T's run at step m and
+    position x = u^-1*y, and its window y, y-1, ... is x, x-a, ... with
+    a = u^-1.  A window whose runs are all at least the run r at its right
+    end x is credited r plus its width once the width reaches g = gcd(m, n):
+    it holds {y - i + j*u*m : i < width, j < r}.  So everything is read off
+    T's runs on T's member columns, built once per step block.  A width-1
+    window pays r + 1 only when g = 1, which is the starting 2 for r = 1;
+    for r >= 2 the unit with u^-1 = m*s (s in Stab(T)) credits at least as
+    much to the window s*(x+m), s*x at step m*s.  So only chain cells
+    (u, x) with x - a in T need a scan, every unit's at once: it follows
+    the (units x |T|) table prev, x -> x - a, in (steps x cells) chunks of
+    at most _HT_BLOCK entries.
     """
     best = 2  # any root rules out weight-1 words
-    units = [u for u in range(1, n) if gcd(u, n) == 1]
-    member = np.zeros(n, dtype=bool)
-    member[list(t_set)] = True
-    unit_arr = np.array(units, dtype=np.int64)
-    images = (unit_arr[:, None] * np.flatnonzero(member)[None, :]) % n  # v * T
-    stabilizer = unit_arr[member[images].all(1)].tolist()
+    elems = np.array(sorted(t_set), dtype=np.int64)
+    size = elems.size
+    column = np.full(n, size)  # T's column of each residue, size for a non-member
+    column[elems] = np.arange(size)
+    member = column < size
+    units = np.flatnonzero(np.gcd(np.arange(n), n) == 1)
+    stabilizer = units[member[(units[:, None] * elems) % n].all(1)].tolist()  # vT = T
     covered = bytearray(n)
-    gathers = []
-    for u in units:
+    back = []  # a = u^-1 for one u per coset of the stabilizer
+    for u in units.tolist():
         if covered[u]:
             continue
         for v in stabilizer:
             covered[(u * v) % n] = 1
-        gathers.append((pow(u, -1, n) * np.arange(n)) % n)
+        back.append(pow(u, -1, n))
+    prev = np.full((len(back), size + 1), size)  # the zero column leads to itself
+    prev[:, :size] = column[(elems[None, :] - np.array(back)[:, None]) % n]
+    unit_of, cells = np.nonzero(prev[:, :size] < size)
     rows = max(1, _HT_BLOCK // n)
-    for first in range(1, n, rows):
-        steps = np.arange(first, min(first + rows, n))[:, None]
-        run = _runs(member, steps)
-        g = np.gcd(steps, n)
-        for gather in gathers:
-            best = max(best, _best_windows(run[:, gather], g))
+    for lo in range(1, n, rows):
+        steps = np.arange(lo, min(lo + rows, n))[:, None]
+        run = _runs(member, elems, steps)
+        g, chunk = np.gcd(steps, n), max(1, _HT_BLOCK // len(steps))
+        for c0 in range(0, cells.size, chunk):
+            unit, at = unit_of[c0:c0 + chunk], cells[c0:c0 + chunk]
+            own = run[:, at]
+            inside, width = own > 0, np.ones_like(own)
+            while True:
+                at = prev[unit, at]
+                inside &= run[:, at] >= own
+                if not inside.any():
+                    break
+                width += inside
+            best = max(best, int(np.where(width >= g, own + width, 0).max()))
     return best
 
 
-def _runs(member: np.ndarray, steps: np.ndarray) -> np.ndarray:
-    """run[m, x] for the set ``member`` over a column of steps m.
+def _runs(member: np.ndarray, columns: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """run[m, j] for the set ``member`` at x = columns[j], over a column of steps m.
 
-    run[m, x] counts the members x, x+m, x+2m, ... before the first
-    non-member, or the whole orbit of x when it holds no non-member.
+    run[m, j] counts the members x, x+m, x+2m, ... before the first
+    non-member, or the whole orbit of x when it holds no non-member.  A
+    last column of zeros stands for the non-members.
     """
     n = member.size
     period = n // np.gcd(steps, n)
-    alive = np.broadcast_to(member, (len(steps), n))
-    run = alive.astype(np.int64)
-    at = np.arange(n)
+    alive = np.ones((len(steps), columns.size), dtype=bool)
+    run = np.zeros((len(steps), columns.size + 1), dtype=np.int32)
+    run[:, :-1] = 1
+    at = columns
     for j in range(1, n):
         at = (at + steps) % n
-        alive = alive & member[at] & (j < period)  # a full orbit is capped
+        alive &= member[at] & (j < period)  # a full orbit is capped
         if not alive.any():
             break
-        run += alive
+        run[:, :-1] += alive
     return run
-
-
-def _best_windows(run: np.ndarray, g: np.ndarray) -> int:
-    """Best credited window over rows of runs, row m with g = gcd(m, n).
-
-    A window of consecutive positions ending at i whose runs are all at
-    least run[m, i] is credited run[m, i] + its width, provided the width
-    reaches g: it holds the pattern {b + i' + j*m : i' < width,
-    j < run[m, i]}.  Only windows whose smallest run sits at their right
-    end are credited.  Every row holds a zero run (a non-member), which
-    acts as a wall.
-    """
-    n = run.shape[1]
-    x = np.arange(n)
-    credited = run > 0
-    inside = credited
-    width = inside.astype(np.int64)
-    for back in range(1, n):
-        inside = inside & (run[:, x - back] >= run)
-        if not inside.any():
-            break
-        width += inside
-    return int(np.where(credited & (width >= g), run + width, 0).max())
 
 
 # -- the asymmetric EAQECC factory -------------------------------------

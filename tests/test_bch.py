@@ -1,5 +1,6 @@
 import random
 import re
+import tracemalloc
 from math import gcd
 
 import pytest
@@ -375,6 +376,8 @@ def test_hartmann_tzeng_beats_consecutive_runs():
     assert hartmann_tzeng_bound(31, delta) >= plain_run - 1
     # wraparound run: {13, 14, 0, 1} in Z_15 has length 4 across zero
     assert hartmann_tzeng_bound(15, (13, 14, 0, 1)) == 5
+    # {0, 1} + {0, 6} in Z_10: a window of width gcd(6, 10) = 2, worth 2 + 2
+    assert hartmann_tzeng_bound(10, (0, 1, 6, 7)) == 4
 
 
 def test_hartmann_tzeng_below_true_distance():
@@ -535,6 +538,64 @@ def test_ht_search_with_stabilizer_beyond_q():
     q_and_minus_one = {(sign * pow(2, i, n)) % n for i in range(6) for sign in (1, -1)}
     assert q_and_minus_one < _stabilizer(n, t_set)
     assert _ht_search(n, t_set) == _reference_ht_search(n, t_set)
+
+
+def _chain_cells(n, t_set):
+    """(u, x) with x and x - u^-1 in T, over every unit u of Z_n."""
+    return [(u, x) for u in range(1, n) if gcd(u, n) == 1
+            for x in t_set if (x - pow(u, -1, n)) % n in t_set]
+
+
+def test_ht_search_matches_unreduced_search_on_arbitrary_sets():
+    rng = random.Random(37)
+    seen = {"wrap": 0, "all_but_one": 0, "trivial_stabilizer": 0, "no_chain": 0}
+    for _ in range(10):
+        n = rng.randint(6, 30)
+        length = rng.randint(2, n - 2)
+        back = rng.randint(1, length - 1)
+        wrap = {(i - back) % n for i in range(length)}  # a run across 0
+        sets = [wrap, set(range(n)) - {rng.randrange(n)},
+                set(rng.sample(range(n), rng.randint(1, n - 1)))]
+        p = next(d for d in range(2, n + 1) if n % d == 0)
+        # differences of multiples of p are never units, so no unit has a chain
+        sets.append(set(rng.sample(range(0, n, p), rng.randint(1, n // p))))
+        for t_set in map(frozenset, sets):
+            seen["wrap"] += 0 in t_set and (n - 1) in t_set and len(t_set) < n - 1
+            seen["all_but_one"] += len(t_set) == n - 1
+            seen["trivial_stabilizer"] += _stabilizer(n, t_set) == {1}
+            seen["no_chain"] += not _chain_cells(n, t_set)
+            assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), (n, sorted(t_set))
+    assert min(seen.values()) >= 5, seen
+
+
+@pytest.mark.parametrize("block", [60, 7])
+def test_ht_search_splits_steps_and_chain_cells(monkeypatch, block):
+    # for n = 26, blocks of 60 entries hold 2 steps and chunks of 30 chain
+    # cells; blocks of 7 hold 1 step and chunks of 7 cells
+    monkeypatch.setattr(bch, "_HT_BLOCK", block)
+    n, rng = 26, random.Random(41)
+    checked = 0
+    while checked < 4:
+        t_set = frozenset(rng.sample(range(n), rng.randint(8, 18)))
+        if _stabilizer(n, t_set) != {1} or len(_chain_cells(n, t_set)) <= 30:
+            continue
+        assert _ht_search(n, t_set) == _reference_ht_search(n, t_set), sorted(t_set)
+        checked += 1
+
+
+def test_hartmann_tzeng_at_large_lengths():
+    assert hartmann_tzeng_bound(1023, cyclotomic_cosets(1023, 2).closure([1, 3, 5])) == 7
+    # the search works on T's 22 members; one over all 2047 positions per
+    # unit peaks near 6 MiB on this set
+    t_set = frozenset(cyclotomic_cosets(2047, 2).closure([1, 3]))
+    tracemalloc.start()
+    try:
+        assert _ht_search(2047, t_set) == 5
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 << 20, peak
+    assert hartmann_tzeng_bound(2047, t_set) == 5
 
 
 def test_bch_asym_code_small_rows():

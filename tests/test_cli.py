@@ -232,6 +232,15 @@ def test_bch_construct_over_gf65536(capsys):
     assert out.splitlines()[0] == "[[257, 225, >=5/>=5; 0]]_2"
 
 
+def test_bch_construct_at_n_1023(capsys):
+    code, out, err = run(capsys, "bch-construct", "--q", "2", "--n", "1023",
+                         "--labels1", "1,3,5", "--labels2", "7", "--budget", "1024")
+    assert (code, err) == (0, "")
+    lines = out.splitlines()
+    assert lines[0] == "[[1023, 983, >=7/>=3; 0]]_2"
+    assert "dz bound = 7" in lines and "dx bound = 3" in lines
+
+
 def test_bch_construct_usage_errors(capsys):
     code, _, err = run(capsys, "bch-construct", "--q", "2", "--n", "15")
     assert code == 2 and "either" in err
