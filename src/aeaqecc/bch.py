@@ -188,7 +188,9 @@ def subfield_subcode(ev: EvaluationCode, q: int) -> LinearCode:
     reps = structure.reps_in(ev.delta)
     rows = ev.gen.entries[[ev.delta.index(a) for a in reps]].astype(np.int64)
     products = big._exp[gamma_logs[None, :, None] + big._log[rows][:, None, :]]
-    entries = emb.trace_table[products].reshape(-1, ev.n)
+    entries = emb._retract[big.trace(products, r)].reshape(-1, ev.n)
+    if (entries < 0).any():
+        raise RuntimeError(f"a trace fell outside the embedded copy of {small}")
     code = LinearCode(small, MatrixGF(small, entries))
     expected = sum(structure.size_of(a) for a in reps)
     if code.k != expected:

@@ -4,6 +4,10 @@ Subcommands: reproduce the code tables against the committed golden
 files, evaluate the finite existence bound, construct codes straight
 from coset labels, analyze a pair of code files, and run the
 code-enlargement demonstration.
+
+Each handler returns a JSON document and the lines of its human (or, for
+the tables, csv) form; main refuses csv outside the tables, renders one
+of the two, and reports the tables' golden mismatches on stderr.
 """
 
 import argparse
@@ -11,7 +15,7 @@ import json
 import os
 import sys
 
-from .bch import bch_asym_code, coset_code, cyclotomic_cosets, hartmann_tzeng_bound
+from .bch import bch_asym_code, cyclotomic_cosets
 from .codes import read_code_file
 from .eaqecc import asym_params, enlargement_demo
 from .enumeration import DEFAULT_BUDGET, check_budget
@@ -26,6 +30,7 @@ from .gv import GvQuery, gv_finite_holds, gv_finite_sum, gv_threshold
 from .tables import (
     _flag,
     diff_against_golden,
+    label_asym_code,
     reproduce_table1,
     reproduce_table2,
     table1_csv,
@@ -64,15 +69,6 @@ def _resolve_budget(value) -> int:
     return value
 
 
-def _require_not_csv(args):
-    if args.format == "csv":
-        raise _CliError(EXIT_USAGE, "csv output is only defined for tables")
-
-
-def _emit_json(doc):
-    print(json.dumps(doc, sort_keys=True))
-
-
 def _table1_line(r) -> str:
     t = r.threshold
     verdict = "exceeds GV" if r.gv_exceeded else "within GV"
@@ -85,7 +81,8 @@ def _table1_line(r) -> str:
 def _table2_line(r) -> str:
     return (
         f"table 2 row {r.index}: {r.params.display()}  "
-        f"root bounds {r.ht_dz}/{r.ht_dx}  symmetric distance {r.row.d_sym}"
+        f"root bounds {r.built.dz_bound}/{r.built.dx_bound}  "
+        f"symmetric distance {r.row.d_sym}"
     )
 
 
@@ -107,8 +104,8 @@ def _table2_dict(r) -> dict:
     d = r.params.as_dict()
     d.update(
         index=r.index,
-        root_bound_dz=r.ht_dz,
-        root_bound_dx=r.ht_dx,
+        root_bound_dz=r.built.dz_bound,
+        root_bound_dx=r.built.dx_bound,
         symmetric_distance=r.row.d_sym,
         c1_labels=list(r.row.c1_labels),
         c2_labels=list(r.row.c2_labels),
@@ -117,37 +114,23 @@ def _table2_dict(r) -> dict:
     return d
 
 
-def _cmd_tables(args) -> int:
+def _cmd_tables(args):
     budget = _resolve_budget(args.budget)
     picks = [1, 2] if args.which == "all" else [int(args.which)]
-    problems = []
-    doc = {}
+    doc, lines, problems = {}, [], []
     for which in picks:
-        if which == 1:
-            results = reproduce_table1(budget)
-            lines = table1_csv(results)
-            rows = [_table1_dict(r) for r in results]
-            human = [_table1_line(r) for r in results]
-        else:
-            results = reproduce_table2(budget)
-            lines = table2_csv(results)
-            rows = [_table2_dict(r) for r in results]
-            human = [_table2_line(r) for r in results]
-        problems += [f"table {which}: {p}" for p in diff_against_golden(which, lines)]
-        if args.format == "csv":
-            for line in lines:
-                print(line)
-        elif args.format == "human":
-            for line in human:
-                print(line)
-        else:
-            doc[f"table{which}"] = rows
-    if args.format == "json":
-        doc["mismatches"] = problems
-        _emit_json(doc)
-    for p in problems:
-        print(p, file=sys.stderr)
-    return EXIT_MISMATCH if problems else EXIT_OK
+        # names looked up per call, so that a wrapper on them sees it
+        reproduce, csv, as_dict, as_line = (
+            (reproduce_table1, table1_csv, _table1_dict, _table1_line) if which == 1
+            else (reproduce_table2, table2_csv, _table2_dict, _table2_line)
+        )
+        results = reproduce(budget)
+        csv_lines = csv(results)
+        problems += [f"table {which}: {p}" for p in diff_against_golden(which, csv_lines)]
+        doc[f"table{which}"] = [as_dict(r) for r in results]
+        lines += csv_lines if args.format == "csv" else [as_line(r) for r in results]
+    doc["mismatches"] = problems
+    return doc, lines
 
 
 def _gv_query(args, dz: int, dx: int) -> GvQuery:
@@ -157,37 +140,23 @@ def _gv_query(args, dz: int, dx: int) -> GvQuery:
         raise _CliError(EXIT_USAGE, str(e))
 
 
-def _cmd_gv_check(args) -> int:
-    _require_not_csv(args)
+def _cmd_gv_check(args):
     query = _gv_query(args, args.dz, args.dx)
     total = gv_finite_sum(query)
     holds = gv_finite_holds(query)
-    if args.format == "json":
-        _emit_json(
-            {"sum": f"{total.numerator}/{total.denominator}", "holds": holds}
-        )
-    else:
-        print(f"sum = {total.numerator}/{total.denominator}")
-        print(f"holds = {_flag(holds)}")
-    return EXIT_OK
+    fraction = f"{total.numerator}/{total.denominator}"
+    return {"sum": fraction, "holds": holds}, [
+        f"sum = {fraction}", f"holds = {_flag(holds)}",
+    ]
 
 
-def _cmd_gv_threshold(args) -> int:
-    _require_not_csv(args)
+def _cmd_gv_threshold(args):
     try:
         pair = gv_threshold(args.q, args.n, args.k1, args.k2, args.c)
     except ValueError as e:
         raise _CliError(EXIT_USAGE, str(e))
-    if args.format == "json":
-        _emit_json(
-            {
-                "dz_threshold": pair.dz_threshold,
-                "dx_threshold": pair.dx_threshold,
-            }
-        )
-    else:
-        print(f"({pair.dz_threshold},{pair.dx_threshold})")
-    return EXIT_OK
+    doc = {"dz_threshold": pair.dz_threshold, "dx_threshold": pair.dx_threshold}
+    return doc, [f"({pair.dz_threshold},{pair.dx_threshold})"]
 
 
 def _parse_labels(text: str):
@@ -200,26 +169,7 @@ def _parse_labels(text: str):
         raise _CliError(EXIT_USAGE, f"labels must be integers: {text!r}")
 
 
-def _print_construction(args, params, delta1, delta2, dz_bound, dx_bound):
-    if args.format == "json":
-        doc = params.as_dict()
-        doc.update(
-            delta1=list(delta1),
-            delta2=list(delta2),
-            dz_bound=dz_bound,
-            dx_bound=dx_bound,
-        )
-        _emit_json(doc)
-        return
-    print(params.display())
-    print("delta1 =", " ".join(str(x) for x in delta1))
-    print("delta2 =", " ".join(str(x) for x in delta2))
-    print(f"dz bound = {dz_bound}")
-    print(f"dx bound = {dx_bound}")
-
-
-def _cmd_bch_construct(args) -> int:
-    _require_not_csv(args)
+def _cmd_bch_construct(args):
     budget = _resolve_budget(args.budget)
     by_index = args.s is not None or args.t is not None
     by_labels = args.labels1 is not None or args.labels2 is not None
@@ -227,45 +177,37 @@ def _cmd_bch_construct(args) -> int:
         raise _CliError(
             EXIT_USAGE, "give either --s and --t, or --labels1 and --labels2"
         )
-    try:
+    try:  # _CliError is no ValueError, so the pairing checks pass through
         structure = cyclotomic_cosets(args.n, args.q)
-    except ValueError as e:
-        raise _CliError(EXIT_USAGE, str(e))
-    if by_index:
-        if args.s is None or args.t is None:
-            raise _CliError(EXIT_USAGE, "--s and --t go together")
-        try:
+        if by_index:
+            if args.s is None or args.t is None:
+                raise _CliError(EXIT_USAGE, "--s and --t go together")
             built = bch_asym_code(structure, args.s, args.t, budget)
-        except ValueError as e:
-            raise _CliError(EXIT_USAGE, str(e))
-        _print_construction(
-            args, built.params, built.delta1, built.delta2,
-            built.dz_bound, built.dx_bound,
-        )
-        return EXIT_OK
-    if args.labels1 is None or args.labels2 is None:
-        raise _CliError(EXIT_USAGE, "--labels1 and --labels2 go together")
-    labels1 = _parse_labels(args.labels1)
-    labels2 = _parse_labels(args.labels2)
-    try:
-        delta1 = structure.closure(labels1)
-        delta2 = structure.closure(labels2)
-        c1 = coset_code(args.n, args.q, labels1)
-        c2 = coset_code(args.n, args.q, labels2)
-    except ValueError as e:
+        else:
+            if args.labels1 is None or args.labels2 is None:
+                raise _CliError(EXIT_USAGE, "--labels1 and --labels2 go together")
+            labels1 = _parse_labels(args.labels1)
+            labels2 = _parse_labels(args.labels2)
+            built = label_asym_code(structure, labels1, labels2, budget)
+    except ValueError as e:  # bad coset data or a DegeneratePairError
         raise _CliError(EXIT_USAGE, str(e))
-    dz_bound = hartmann_tzeng_bound(args.n, delta1)
-    dx_bound = hartmann_tzeng_bound(args.n, delta2)
-    try:
-        params = asym_params(c1, c2, budget, dz_floor=dz_bound, dx_floor=dx_bound)
-    except ValueError as e:  # a DegeneratePairError
-        raise _CliError(EXIT_USAGE, str(e))
-    _print_construction(args, params, delta1, delta2, dz_bound, dx_bound)
-    return EXIT_OK
+    doc = built.params.as_dict()
+    doc.update(
+        delta1=list(built.delta1),
+        delta2=list(built.delta2),
+        dz_bound=built.dz_bound,
+        dx_bound=built.dx_bound,
+    )
+    return doc, [
+        built.params.display(),
+        "delta1 = " + " ".join(str(x) for x in built.delta1),
+        "delta2 = " + " ".join(str(x) for x in built.delta2),
+        f"dz bound = {built.dz_bound}",
+        f"dx bound = {built.dx_bound}",
+    ]
 
 
-def _cmd_analyze(args) -> int:
-    _require_not_csv(args)
+def _cmd_analyze(args):
     budget = _resolve_budget(args.budget)
     try:
         c1 = read_code_file(args.first)
@@ -287,25 +229,20 @@ def _cmd_analyze(args) -> int:
             params.dz.value, params.dx.value,
         )
         exceeds = not gv_finite_holds(query)
-    if args.format == "json":
-        doc = params.as_dict()
-        doc["css_compatible"] = css
-        doc["exceeds_finite_gv"] = exceeds
-        _emit_json(doc)
-        return EXIT_OK
-    print(params.display())
-    print(f"k1 = {params.k1}, k2 = {params.k2}, c = {params.c}")
+    doc = params.as_dict()
+    doc["css_compatible"] = css
+    doc["exceeds_finite_gv"] = exceeds
+    lines = [params.display(), f"k1 = {params.k1}, k2 = {params.k2}, c = {params.c}"]
     if css:
-        print("CSS-compatible pair")
+        lines.append("CSS-compatible pair")
     if exceeds is None:
-        print("finite GV = not evaluated (bound-only distances)")
+        lines.append("finite GV = not evaluated (bound-only distances)")
     else:
-        print(f"exceeds finite GV = {_flag(exceeds)}")
-    return EXIT_OK
+        lines.append(f"exceeds finite GV = {_flag(exceeds)}")
+    return doc, lines
 
 
-def _cmd_enlarge_demo(args) -> int:
-    _require_not_csv(args)
+def _cmd_enlarge_demo(args):
     budget = _resolve_budget(args.budget)
     try:
         p, r = prime_power_decomposition(args.q)
@@ -318,12 +255,9 @@ def _cmd_enlarge_demo(args) -> int:
         raise _CliError(EXIT_USAGE, f"budget too small for this field: {e}")
     except (DegeneratePairError, ValueError) as e:
         raise _CliError(EXIT_USAGE, str(e))
-    if args.format == "json":
-        _emit_json({"before": before.as_dict(), "after": after.as_dict()})
-    else:
-        print(f"before = {before.display()}")
-        print(f"after  = {after.display()}")
-    return EXIT_OK
+    return {"before": before.as_dict(), "after": after.as_dict()}, [
+        f"before = {before.display()}", f"after  = {after.display()}",
+    ]
 
 
 _HANDLERS = {
@@ -343,7 +277,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     common.add_argument("--budget", type=int, default=None)
 
-    parser = argparse.ArgumentParser(prog="aeaqecc", description=__doc__)
+    # --help shows the docstring without its last paragraph, on the design
+    parser = argparse.ArgumentParser(prog="aeaqecc", description=__doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("tables", parents=[common],
@@ -388,10 +323,20 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
     try:
-        return _HANDLERS[args.command](args)
+        if args.format == "csv" and args.command != "tables":
+            raise _CliError(EXIT_USAGE, "csv output is only defined for tables")
+        doc, lines = _HANDLERS[args.command](args)
     except _CliError as e:
         print(e.message, file=sys.stderr)
         return e.code
+    if args.format == "json":
+        print(json.dumps(doc, sort_keys=True))
+    else:
+        print("\n".join(lines))
+    problems = doc.get("mismatches", [])  # the tables' golden diff
+    for p in problems:
+        print(p, file=sys.stderr)
+    return EXIT_MISMATCH if problems else EXIT_OK
 
 
 if __name__ == "__main__":

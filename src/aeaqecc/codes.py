@@ -88,10 +88,6 @@ class LinearCode:
     def zero(cls, field: FiniteField, n: int) -> "LinearCode":
         return cls(field, MatrixGF.zeros(field, 0, n))
 
-    @classmethod
-    def full(cls, field: FiniteField, n: int) -> "LinearCode":
-        return cls(field, MatrixGF.identity(field, n))
-
     @cached_property
     def parity_check(self) -> MatrixGF:
         """Generator of the dual code; x is a codeword iff its syndrome is 0.

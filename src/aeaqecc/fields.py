@@ -13,15 +13,15 @@ element), with a zero sentinel so that a product is one add and one
 gather.  Sums are XOR in characteristic 2, mod p in a prime field and
 Zech logs in an odd extension.  The tables take O(q) memory.
 
-Tables and subfield embeddings are built with array operations over all
-encodings at once; only the batches of generator candidates, the walk
-along the generator's powers and the trace table, which only the tests'
-trace route reads, are loops.
+Tables, subfield embeddings and traces are built with array operations
+over all encodings at once; only the batches of generator candidates, the
+walk along the generator's powers and the trace's sum over the conjugates
+are loops.
 """
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from math import gcd
 
 import numpy as np
@@ -186,8 +186,9 @@ def default_modulus(p: int, degree: int) -> tuple[int, ...]:
 class FiniteField:
     """GF(p^degree) with a fixed modulus and exp, log and Zech log tables.
 
-    add, neg, mul and inv take encodings as ints or as numpy arrays, which
-    broadcast, and return an int for ints and an array for arrays.
+    add, neg, mul, inv and trace take encodings as ints or as numpy
+    arrays, which broadcast, and return an int for ints and an array for
+    arrays.
     """
 
     def __init__(self, p: int, degree: int = 1, modulus: tuple[int, ...] | None = None):
@@ -331,21 +332,25 @@ class FiniteField:
             return 1 if e == 0 else 0
         return int(self._exp[int(self._log[a]) * e % (self.order - 1)])
 
-    def trace(self, a: int, subfield_degree: int = 1) -> int:
+    def trace(self, a, subfield_degree: int = 1):
         """Trace onto GF(p^subfield_degree), returned in this field's encoding.
 
-        The result lies in the subfield fixed by x -> x^(p^subfield_degree);
-        for the prime subfield the encoding is the subfield value itself.
+        The sum of the conjugates a^(s^i), s = p^subfield_degree, each read
+        as exp[log a * s^i mod (q - 1)] with log 0 kept on the zero
+        sentinel.  The result lies in the subfield fixed by x -> x^s; for
+        the prime subfield the encoding is the subfield value itself.
         """
         if self.degree % subfield_degree != 0:
             raise ValueError(
                 f"GF({self.p}^{subfield_degree}) is not a subfield of {self}"
             )
-        sub_q = self.p**subfield_degree
-        acc = 0
-        for i in range(self.degree // subfield_degree):
-            acc = self.add(acc, self.pow(a, sub_q**i))
-        return acc
+        la = self._log[a].astype(np.int64)
+        zero = la == self._zero_log
+        acc, power = 0, 1  # power = s^i mod (q - 1)
+        for _ in range(self.degree // subfield_degree):
+            acc = self.add(acc, self._exp[np.where(zero, la, la * power % (self.order - 1))])
+            power = power * self.p**subfield_degree % (self.order - 1)
+        return acc if np.ndim(acc) else int(acc)
 
     # -- conveniences ----------------------------------------------------
 
@@ -423,10 +428,8 @@ def _horner(field: FiniteField, coeffs, x) -> np.ndarray:
 class SubfieldEmbedding:
     """GF(p^r) inside GF(p^l), r | l, via the lowest-encoded modulus root.
 
-    _embed maps small-field encodings to big-field encodings; retract()
-    inverts it on the image; relative_trace() sends a big-field element to
-    the small field through the trace of the extension, and trace_table
-    holds that map for every big-field element at once.
+    _embed maps small-field encodings to big-field encodings and _retract
+    inverts it on the image, with -1 for every big-field encoding outside.
     """
 
     def __init__(self, small: FiniteField, big: FiniteField):
@@ -444,28 +447,6 @@ class SubfieldEmbedding:
         self._embed = _horner(big, digits, beta)
         self._retract = np.full(big.order, -1, dtype=np.int64)
         self._retract[self._embed] = values
-
-    def retract(self, value: int) -> int:
-        x = int(self._retract[value]) if 0 <= value < self.big.order else -1
-        if x < 0:
-            raise ValueError(f"{value} is not in the embedded copy of {self.small}")
-        return x
-
-    def relative_trace(self, value: int) -> int:
-        """Trace from the big field onto the embedded small field."""
-        acc = self.big.trace(value, self.small.degree)
-        return self.retract(acc)
-
-    @cached_property
-    def trace_table(self) -> np.ndarray:
-        """relative_trace of every big-field encoding, as a read-only array.
-
-        Built once per embedding by the scalar trace; it serves the trace
-        route that the tests keep as the oracle of the cyclic codes.
-        """
-        table = np.array([self.relative_trace(v) for v in range(self.big.order)], dtype=np.int64)
-        table.flags.writeable = False
-        return table
 
 
 @lru_cache(maxsize=None)

@@ -48,10 +48,6 @@ class MatrixGF:
     def zeros(cls, field: FiniteField, rows: int, cols: int) -> "MatrixGF":
         return cls(field, np.zeros((rows, cols), dtype=_ENTRY_DTYPE))
 
-    @classmethod
-    def identity(cls, field: FiniteField, n: int) -> "MatrixGF":
-        return cls(field, np.eye(n, dtype=_ENTRY_DTYPE))
-
     @property
     def rows(self) -> int:
         return self._a.shape[0]

@@ -154,7 +154,7 @@ def test_criterion_3_exhaustive_distance_confirmation(results1, results2):
             check(f"table 1 row {r.index} {side}", getattr(r.params, side),
                   printed, floor)
     for r in results2:
-        for side, floor in (("dz", r.ht_dz), ("dx", r.ht_dx)):
+        for side, floor in (("dz", r.built.dz_bound), ("dx", r.built.dx_bound)):
             check(f"table 2 row {r.index} {side}", getattr(r.params, side),
                   r.row.d, floor)
     declared = _declared_sharper_cells()

@@ -182,21 +182,32 @@ def test_subfield_subcode_same_field():
     assert subfield_subcode(ev, 7) == ev.code
 
 
+def _scalar_trace(big, v, q, m):
+    """Trace of v onto GF(q) as the sum of its m conjugates v, v^q, ...."""
+    acc = 0
+    for _ in range(m):
+        acc = big.add(acc, v)
+        v = big.pow(v, q)
+    return acc
+
+
 def _scalar_trace_subcode(ev, q):
     """The subfield subcode built entry by entry with scalar traces."""
     big = ev.big_field
     p = big.p
     small = field_create(*prime_power_decomposition(q))
     emb = subfield_embedding(small, big)
+    m = big.degree // small.degree
     gammas = [1]
-    for _ in range(big.degree // small.degree - 1):
+    for _ in range(m - 1):
         gammas.append(big.mul(gammas[-1], p))
     s = cyclotomic_cosets(ev.n, q)
     rows = []
     for a in s.reps_in(ev.delta):
         row = ev.gen.row(ev.delta.index(a))
         for gamma in gammas:
-            rows.append([emb.relative_trace(big.mul(gamma, v)) for v in row])
+            traces = [_scalar_trace(big, big.mul(gamma, v), q, m) for v in row]
+            rows.append([int(emb._retract[t]) for t in traces])
     return LinearCode.from_rows(small, rows, n=ev.n)
 
 

@@ -6,7 +6,7 @@ from aeaqecc import cli
 from aeaqecc.cli import main
 from aeaqecc.enumeration import DEFAULT_BUDGET
 from aeaqecc.fields import FiniteField, field_create
-from aeaqecc.tables import golden_lines
+from aeaqecc.tables import TABLE2, golden_lines
 
 
 @pytest.fixture(autouse=True)
@@ -162,12 +162,18 @@ def test_budget_floor(capsys):
     assert "1024" in err
 
 
-def test_csv_limited_to_tables(capsys):
-    code, _, err = run(capsys, "gv-check", "--format", "csv", "--q", "4",
-                       "--n", "15", "--k1", "3", "--k2", "1", "--c", "1",
-                       "--dz", "2", "--dx", "1")
-    assert code == 2
-    assert "csv" in err
+def test_csv_limited_to_tables(capsys, tmp_path):
+    # main refuses csv before any handler runs, for every other subcommand
+    a = write_code(tmp_path / "a.code", 2, 3, [[1, 1, 1]])
+    b = write_code(tmp_path / "b.code", 2, 3, [[1, 0, 1]])
+    shape = ["--q", "4", "--n", "15", "--k1", "3", "--k2", "1", "--c", "1"]
+    for argv in (["gv-check", *shape, "--dz", "2", "--dx", "1"],
+                 ["gv-threshold", *shape],
+                 ["bch-construct", "--q", "2", "--n", "15", "--s", "0", "--t", "1"],
+                 ["analyze", a, b],
+                 ["enlarge-demo", "--q", "4"]):
+        code, out, err = run(capsys, *argv, "--format", "csv")
+        assert (code, out, err) == (2, "", "csv output is only defined for tables\n")
 
 
 def test_tables_csv_matches_golden(capsys):
@@ -191,6 +197,36 @@ def test_tables_mismatch_under_reduced_budget(capsys):
     code, _, err = run(capsys, "tables", "--which", "1", "--budget", "1024")
     assert code == 1
     assert "golden has" in err
+
+
+def test_tables_mismatch_path_in_every_format(capsys):
+    errs = []
+    for fmt in ("human", "csv", "json"):
+        code, out, err = run(capsys, "tables", "--which", "1", "--budget", "1024",
+                             "--format", fmt)
+        assert code == 1 and err
+        errs.append(err)
+    assert errs[0] == errs[1] == errs[2]
+    assert json.loads(out)["mismatches"] == err.splitlines()
+
+
+def test_bch_construct_by_labels_matches_table2(capsys):
+    code, out, _ = run(capsys, "tables", "--which", "2", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)["table2"]
+    assert len(rows) == len(TABLE2)
+    keys = ("q", "n", "k", "c", "k1", "k2", "dz", "dx")
+    for row, want in zip(TABLE2, rows):
+        code, out, err = run(
+            capsys, "bch-construct", "--q", str(row.q), "--n", str(row.n),
+            "--labels1", " ".join(map(str, row.c1_labels)),
+            "--labels2", " ".join(map(str, row.c2_labels)), "--format", "json",
+        )
+        assert (code, err) == (0, "")
+        got = json.loads(out)
+        assert {k: got[k] for k in keys} == {k: want[k] for k in keys}
+        assert (got["dz_bound"], got["dx_bound"]) == (
+            want["root_bound_dz"], want["root_bound_dx"])
 
 
 def test_bch_construct_by_indices(capsys):

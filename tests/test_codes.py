@@ -181,7 +181,7 @@ def test_relative_min_weight_matches_naive(p):
         report = relative_min_weight(a, b)
         assert report.value == naive_min_weight(a.gen.entries, field, member=b.contains)
         assert report.enumerated == p**a.k - 1
-        full = relative_min_weight(a, LinearCode.full(field, n))
+        full = relative_min_weight(a, LinearCode.from_rows(field, np.eye(n, dtype=int)))
         assert full.is_empty and full.enumerated == 0
         checked += 1
 
@@ -411,7 +411,7 @@ def test_contains_and_subcode():
     sub = LinearCode.from_rows(f2, [[1, 1, 0, 0, 1, 1, 0]])
     assert sub.is_subcode_of(ham) == ham.contains([1, 1, 0, 0, 1, 1, 0])
     assert LinearCode.zero(f2, 7).is_subcode_of(ham)
-    assert ham.is_subcode_of(LinearCode.full(f2, 7))
+    assert ham.is_subcode_of(LinearCode.from_rows(f2, np.eye(7, dtype=int)))
 
 
 def test_dual_dimensions_and_involution():
@@ -434,7 +434,7 @@ def test_parity_check_from_pivots_needs_no_elimination(monkeypatch):
     for p, r in [(2, 1), (3, 1), (2, 2), (5, 1), (3, 2)]:
         field = field_create(p, r)
         n = rng.randrange(3, 10)
-        built += [LinearCode.zero(field, n), LinearCode.full(field, n)]
+        built += [LinearCode.zero(field, n), LinearCode.from_rows(field, np.eye(n, dtype=int))]
         for _ in range(8):
             k = rng.randrange(0, n + 1)
             rows = [[rng.randrange(field.order) for _ in range(n)] for _ in range(k)]
@@ -479,7 +479,7 @@ def test_intersection():
                 b = LinearCode(field, stack(shared, extra))
             else:
                 b = random_code(n, rng.randrange(0, n + 1))
-            zero, full = LinearCode.zero(field, n), LinearCode.full(field, n)
+            zero, full = LinearCode.zero(field, n), LinearCode.from_rows(field, np.eye(n, dtype=int))
             pairs = [(a, b), (b, a), (a.dual(), b), (b.dual(), a),
                      (zero, b), (a, zero), (full, b), (a, full)]
             for x, y in pairs:

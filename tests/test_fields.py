@@ -475,37 +475,57 @@ def test_subfield_embedding_is_a_field_homomorphism():
                  for x in range(small.order)]
         assert emb.beta == beta
         assert emb._embed.dtype == np.int32 and emb._embed.tolist() == embed
-        assert [emb.retract(v) for v in embed] == list(range(small.order))
-        outside = sorted(set(range(big.order)) - set(embed))[:5]
-        for v in outside:
-            with pytest.raises(ValueError):
-                emb.retract(v)
-        assert emb.trace_table.tolist() == [emb.relative_trace(v) for v in range(big.order)]
+        assert emb._retract[embed].tolist() == list(range(small.order))
+        outside = sorted(set(range(big.order)) - set(embed))
+        assert (emb._retract[outside] == -1).all()
+        # the array trace lands in the embedded copy and agrees with a sum
+        # of scalar powers
+        traces = big.trace(np.arange(big.order), rs)
+        assert (emb._retract[traces] >= 0).all()
+        assert traces.tolist() == [_pow_trace(big, v, rs) for v in range(big.order)]
+
+
+def _pow_trace(big, v, sub_degree):
+    """Trace onto GF(p^sub_degree) as the sum of the powers v^(s^i)."""
+    acc, s = 0, big.p**sub_degree
+    for i in range(big.degree // sub_degree):
+        acc = big.add(acc, big.pow(v, s**i))
+    return acc
 
 
 def test_relative_trace_maps_onto_small_field():
     small, big = field_create(2, 2), field_create(2, 4)
     emb = subfield_embedding(small, big)
-    traces = {emb.relative_trace(v) for v in range(big.order)}
-    assert traces == set(range(small.order))
+    traces = emb._retract[big.trace(np.arange(big.order), small.degree)]
+    assert set(traces.tolist()) == set(range(small.order))
     # GF(q)-linearity over the embedded copy
     for s in range(small.order):
         for v in range(0, big.order, 3):
-            lhs = emb.relative_trace(big.mul(emb._embed[s], v))
-            assert lhs == small.mul(s, emb.relative_trace(v))
-    with pytest.raises(ValueError):
-        emb.retract(2)  # alpha of GF(16) is not in the GF(4) copy
+            lhs = emb._retract[big.trace(big.mul(emb._embed[s], v), small.degree)]
+            assert lhs == small.mul(s, int(traces[v]))
+    assert emb._retract[2] == -1  # alpha of GF(16) is not in the GF(4) copy
 
 
 def test_trace_table_matches_relative_trace():
-    # GF(2^12), as every field, sums its traces by XOR or Zech logs
+    # the array trace of every big-field element against conjugates taken
+    # by repeated multiplication; GF(2^12), as every field, sums its
+    # traces by XOR or Zech logs
     cases = [((2, 1), (2, 12)), ((2, 2), (2, 8)), ((5, 1), (5, 3)), ((5, 2), (5, 4))]
     for (ps, rs), (pb, rb) in cases:
-        emb = subfield_embedding(field_create(ps, rs), field_create(pb, rb))
-        table = emb.trace_table
-        assert table.shape == (emb.big.order,)
-        assert table.tolist() == [emb.relative_trace(v) for v in range(emb.big.order)]
-        assert not table.flags.writeable
+        big = field_create(pb, rb)
+        table = big.trace(np.arange(big.order), rs)
+        assert table.shape == (big.order,)
+        oracle = []
+        for v in range(big.order):
+            acc, x = 0, v
+            for _ in range(rb // rs):
+                acc = big.add(acc, x)
+                power = 1
+                for _ in range(ps**rs):
+                    power = big.mul(power, x)
+                x = power
+            oracle.append(acc)
+        assert table.tolist() == oracle
 
 
 def test_embedding_rejects_non_subfield():

@@ -113,8 +113,8 @@ def test_table2_parameters(results2):
 
 def test_table2_root_bounds_match_published_distance(results2):
     for r in results2:
-        assert r.ht_dz == r.row.d
-        assert r.ht_dx == r.row.d
+        assert r.built.dz_bound == r.row.d
+        assert r.built.dx_bound == r.row.d
 
 
 def test_table2_distance_reports(results2):

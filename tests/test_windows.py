@@ -11,6 +11,7 @@ import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from aeaqecc import codes, eaqecc, enumeration
@@ -267,7 +268,7 @@ def test_cyclic_test_rejects_near_cyclic_codes():
     assert not swapped.is_cyclic and not swapped.dual().is_cyclic
     assert not LinearCode(ham.field, MatrixGF(ham.field, ham.gen.entries[:2])).is_cyclic
     F = field_create(3)
-    assert LinearCode.zero(F, 5).is_cyclic and LinearCode.full(F, 5).is_cyclic
+    assert LinearCode.zero(F, 5).is_cyclic and LinearCode.from_rows(F, np.eye(5, dtype=int)).is_cyclic
 
 
 def test_unsystematic_cyclic_claim_raises():
